@@ -67,6 +67,13 @@ class CertifiedWitness:
         return f"CertifiedWitness({self.point!r})"
 
 
+def _require_replay(witness: CertifiedWitness):
+    """Replay a witness as it is built; a failure is an arithmetic fault."""
+    if not witness.replay():
+        raise AnomalyDetected(
+            f"witness failed replay at construction ({witness.context})")
+
+
 def _renamed(point, names):
     """Relabel witness coordinates with the caller's variable names."""
     if isinstance(point, solvers.PointWitness):
@@ -297,7 +304,7 @@ def _face_nondegeneracy_verdict(face_form: LaurentForm, face, n, exact,
             names, outcome.witness, equations,
             context=f"face {face.key()}",
         )
-        assert witness.replay(), "witness failed replay at construction"
+        _require_replay(witness)
         return Verdict.fails(method, outcome.detail, witness, trace=trace)
     return Verdict.unknown(method, outcome.detail, trace=trace)
 
@@ -366,7 +373,7 @@ def check_local_tameness(g: ToricPolynomial, ef: EssentialFace,
             names = tuple(f"z{j}" for j in range(1, r + 1))
             witness = CertifiedWitness(names, outcome.witness, equations,
                                        context=f"tameness {ef.key()}")
-            assert witness.replay(), "witness failed replay at construction"
+            _require_replay(witness)
             v = Verdict.fails(method, outcome.detail, witness, trace=trace)
         ef.tame = v
         ef.tameness_radius = "unknown"

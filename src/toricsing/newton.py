@@ -88,8 +88,8 @@ class ToricPolynomial:
         for exp, coeff in self.terms.items():
             term = coeff
             for zi, e in zip(point, exp):
-                for _ in range(e):
-                    term = term * zi
+                if e:
+                    term = term * zi ** e
             total = term if total is None else total + term
         if total is None:
             raise EmptySupport("cannot evaluate the zero polynomial")

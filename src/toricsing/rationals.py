@@ -1,15 +1,18 @@
 """Exact Gaussian-rational arithmetic.
 
-A GaussianRational is a complex number a + b*i with rational real and
-imaginary parts, stored as Fractions (always in lowest terms). This is the
+A GaussianRational is a complex number (a + b*i)/d with Python integers a,
+b and d. Every value is normalized when it is built: d > 0 and
+gcd(a, b, d) = 1, so each element of Q(i) has exactly one triple and
+equality is a comparison of triples. The real and imaginary parts are
+read as Fractions through the ``re`` and ``im`` properties. This is the
 coefficient field for every polynomial in the library; no floating point
 is used anywhere.
 """
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
+from math import gcd, isqrt
 
 
 def _as_fraction(x) -> Fraction:
@@ -25,14 +28,33 @@ def _as_fraction(x) -> Fraction:
 class GaussianRational:
     """An element of Q(i), with exact arithmetic."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            # over d = lcm of the two reduced denominators the triple is
+            # already normalized: no gcd of a, b and d is needed
+            re, im = _as_fraction(re), _as_fraction(im)
+            p, q = re.numerator, re.denominator
+            r, s = im.numerator, im.denominator
+            d = q * s // gcd(q, s)
+            a, b = p * (d // q), r * (d // s)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- constructors -------------------------------------------------
 
@@ -66,71 +88,69 @@ class GaussianRational:
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def is_rational(self) -> bool:
-        return self.im == 0
+        return self._a == 0 and self._b == 0
 
     # -- arithmetic ----------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        a1, b1, d1 = self._a, self._b, self._d
+        a2, b2, d2 = o
+        if d1 == d2:
+            return _reduced(a1 + a2, b1 + b2, d1)
+        return _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        a1, b1, d1 = self._a, self._b, self._d
+        a2, b2, d2 = o
+        if d1 == d2:
+            return _reduced(a1 - a2, b1 - b2, d1)
+        return _reduced(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return _make(*o) - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a1, b1, d1 = self._a, self._b, self._d
+        a2, b2, d2 = o
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        n = o.re * o.re + o.im * o.im
+        a1, b1, d1 = self._a, self._b, self._d
+        a2, b2, d2 = o
+        n = a2 * a2 + b2 * b2
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        # (a1 + b1 i)/d1 * d2 (a2 - b2 i)/(a2^2 + b2^2)
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
+                        d1 * n)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return _make(*o) / self
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -149,22 +169,23 @@ class GaussianRational:
             exponent >>= 1
         return result
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def norm(self) -> Fraction:
         """The field norm re^2 + im^2 (a nonnegative rational)."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
 
     # -- comparison / hashing -------------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._a == o[0] and self._b == o[1] and self._d == o[2]
 
     def __hash__(self):
+        # hash((re, im)) as Fractions; an integer hashes like its Fraction
+        if self._d == 1:
+            return hash((self._a, self._b))
         return hash((self.re, self.im))
 
     # -- rendering -------------------------------------------------------
@@ -173,13 +194,50 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        im = f"{abs(self.im)}*i" if abs(self.im) != 1 else "i"
-        sign = "+" if self.im > 0 else "-"
-        if self.re == 0:
-            return im if self.im > 0 else f"-{im}"
-        return f"{self.re}{sign}{im}"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        im_text = f"{abs(im)}*i" if abs(im) != 1 else "i"
+        sign = "+" if im > 0 else "-"
+        if re == 0:
+            return im_text if im > 0 else f"-{im_text}"
+        return f"{re}{sign}{im_text}"
+
+
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """The value (a + b*i)/d from a triple that is already normalized."""
+    z = object.__new__(GaussianRational)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """The value (a + b*i)/d for any d > 0, normalized."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _make(a, b, d)
+
+
+def _coerce(x):
+    """The normalized triple of an operand, or None for a foreign type."""
+    if isinstance(x, GaussianRational):
+        return x._a, x._b, x._d
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    return None
 
 
 ZERO = GaussianRational(0)
@@ -192,7 +250,7 @@ def _fraction_sqrt(q: Fraction):
     if q < 0:
         return None
     num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
+    rn, rd = isqrt(num), isqrt(den)
     if rn * rn == num and rd * rd == den:
         return Fraction(rn, rd)
     return None
@@ -225,9 +283,10 @@ def gaussian_sqrt(z: GaussianRational):
 def gaussian_nth_root(z: GaussianRational, n: int):
     """Some n-th root of z in Q(i), or None.
 
-    Exact for n in {1, 2}; higher n is attempted by iterated square roots
-    and a small search over simple candidates, which is enough for the
-    lattice indices that occur in practice.
+    Exact for n in {1, 2} and for rational z; otherwise higher n is
+    attempted by iterated square roots and a small search over Gaussian
+    integers, which is enough for the lattice indices that occur in
+    practice.
     """
     if n <= 0:
         raise ValueError("root order must be positive")
@@ -245,33 +304,35 @@ def gaussian_nth_root(z: GaussianRational, n: int):
                 return r
             return gaussian_nth_root(-s, n // 2)
         return None
-    # odd n: try simple candidates w with small numerators/denominators
-    for cand in _simple_root_candidates(z, n):
-        if cand ** n == z:
-            return cand
+    a, b, d = z._a, z._b, z._d
+    if b == 0:
+        # for odd n the only n-th root of a rational inside Q(i) is real;
+        # gcd(a, d) = 1, so it exists iff |a| and d are n-th powers
+        ra, rd = _integer_root(abs(a), n), _integer_root(d, n)
+        if ra is None or rd is None:
+            return None
+        return _make(ra if a > 0 else -ra, 0, rd)
+    for re_part in range(-2, 3):
+        for im_part in range(-2, 3):
+            cand = GaussianRational(re_part, im_part)
+            if not cand.is_zero() and cand ** n == z:
+                return cand
     return None
 
 
-def _simple_root_candidates(z: GaussianRational, n: int):
-    seen = set()
-    if z.im == 0:
-        q = z.re
-        for num, den in ((q.numerator, q.denominator), (-q.numerator, q.denominator)):
-            # try integer n-th roots of numerator and denominator
-            rn = round(abs(num) ** (1.0 / n)) if num else 0
-            rd = round(den ** (1.0 / n))
-            for dn in (rn - 1, rn, rn + 1):
-                for dd in (rd - 1, rd, rd + 1):
-                    if dd <= 0:
-                        continue
-                    for sign in (1, -1):
-                        c = GaussianRational(Fraction(sign * dn, dd))
-                        if c not in seen:
-                            seen.add(c)
-                            yield c
-    for a in (-2, -1, 0, 1, 2):
-        for b in (-2, -1, 0, 1, 2):
-            c = GaussianRational(a, b)
-            if not c.is_zero() and c not in seen:
-                seen.add(c)
-                yield c
+def _integer_root(x: int, n: int):
+    """The integer r >= 0 with r**n == x, or None (x >= 0, n >= 1).
+
+    Newton's iteration on integers, as in math.isqrt: the start 2**k with
+    k = ceil(bits(x)/n) is above the root, and every step stays at or
+    above floor(x ** (1/n)) until it stops decreasing.
+    """
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            break
+        r = s
+    return r if r ** n == x else None

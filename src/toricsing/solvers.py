@@ -131,8 +131,7 @@ class AlgebraicWitness:
                     base = v if e > 0 else inv(v)
                     if base is None:
                         return False
-                    for _ in range(abs(e)):
-                        term = (term * base) % m
+                    term = (term * _pow_mod(base, abs(e), m)) % m
                 total = (total + term) % m
             if not total.is_zero():
                 return False
@@ -143,6 +142,18 @@ class AlgebraicWitness:
             f"AlgebraicWitness(modulus deg {self.modulus.degree()}, "
             f"{len(self.values)} coordinates)"
         )
+
+
+def _pow_mod(base: Poly, e: int, m: Poly) -> Poly:
+    """base**e mod m for e >= 1, by square-and-multiply."""
+    result = None
+    while True:
+        if e & 1:
+            result = base if result is None else (result * base) % m
+        e >>= 1
+        if not e:
+            return result
+        base = (base * base) % m
 
 
 def _poly_extended_gcd(a: Poly, b: Poly):

@@ -230,3 +230,33 @@ def test_subvariety_restriction_monomial(staircase_q5):
     assert set(sub.terms) == {(2,)}
     result = check_nondegeneracy(sub)
     assert result.overall.status == HOLDS
+
+
+def test_witness_that_fails_replay_raises(surface_variety, untame_c3_poly,
+                                          monkeypatch):
+    # the replay at construction guards every Fails verdict against an
+    # arithmetic fault, as a check that raises rather than an assert; the
+    # solvers' own verify calls stay real, so a witness is still found
+    from toricsing.checks import CertifiedWitness
+    from toricsing.errors import AnomalyDetected
+
+    monkeypatch.setattr(CertifiedWitness, "replay", lambda self: False)
+    g = ToricPolynomial(
+        surface_variety,
+        {(2, 0, 0): gr(1), (1, 1, 0): gr(-2), (1, 0, 1): gr(1)},
+    )
+    with pytest.raises(AnomalyDetected, match="failed replay"):
+        check_nondegeneracy(g)
+    with pytest.raises(AnomalyDetected, match="failed replay"):
+        check_all_tameness(untame_c3_poly)
+
+
+def test_tameness_witness_from_exact_cube_root():
+    # the critical locus has z1 = 7*10**100, the cube root of 343*10**300
+    from toricsing.variety import build_variety
+
+    c2 = build_variety(generators=[(1, 0), (0, 1)])
+    g = ToricPolynomial(c2, {(3, 3): gr(1), (0, 3): gr(-343 * 10 ** 300)})
+    overall, _ = check_all_tameness(g)
+    assert overall.status == FAILS
+    assert overall.witness.replay()

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -260,3 +264,28 @@ def test_oracle_flag_adds_restriction_checks(tmp_path, capsys):
     assert "restriction_consistency" in data
     for verdict in data["restriction_consistency"].values():
         assert verdict["status"] != "fails"
+
+
+FAILING_REPLAY = (
+    "import sys; from toricsing import checks, cli; "
+    "checks.CertifiedWitness.replay = lambda self: False; "
+    "sys.exit(cli.main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize("program, exit_code", [
+    (["-m", "toricsing.cli"], 2),
+    # a witness that fails its replay is refused even with asserts off
+    (["-c", FAILING_REPLAY], 1),
+])
+def test_witness_replay_runs_under_optimize(program, exit_code):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", *program, "analyze", "--input",
+         str(root / "problems" / "affine_untame.json"), "--verify-witness"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == exit_code, proc.stderr
+    if exit_code == 1:
+        assert "failed replay" in proc.stderr

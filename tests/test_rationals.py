@@ -77,3 +77,15 @@ def test_gaussian_nth_root():
     r = gaussian_nth_root(gr(0, -8), 2)
     assert r is not None and r * r == gr(0, -8)
     assert gaussian_nth_root(gr(2), 2) is None
+
+
+def test_nth_root_of_huge_rational_is_exact():
+    # a float estimate of the root overflows (10**900) or loses the
+    # digits that decide it (the other two); integer roots do neither
+    assert gaussian_nth_root(gr(10 ** 900), 3) == gr(10 ** 300)
+    assert gaussian_nth_root(gr(7 * 10 ** 100) ** 3, 3) == gr(7 * 10 ** 100)
+    assert gaussian_nth_root(gr(Fraction(7 ** 3 * 10 ** 60, 11 ** 3)), 3) \
+        == gr(Fraction(7 * 10 ** 20, 11))
+    assert gaussian_nth_root(gr(-(10 ** 900)), 5) == gr(-(10 ** 180))
+    assert gaussian_nth_root(gr(10 ** 900 + 1), 3) is None
+    assert gaussian_nth_root(gr(Fraction(8, 10 ** 900 + 1)), 3) is None
