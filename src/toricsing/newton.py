@@ -82,19 +82,6 @@ class ToricPolynomial:
     def sample_coefficient(self):
         return next(iter(self.terms.values()))
 
-    def evaluate(self, point):
-        """Evaluate at an r-tuple of coordinate values (any exact field)."""
-        total = None
-        for exp, coeff in self.terms.items():
-            term = coeff
-            for zi, e in zip(point, exp):
-                if e:
-                    term = term * zi ** e
-            total = term if total is None else total + term
-        if total is None:
-            raise EmptySupport("cannot evaluate the zero polynomial")
-        return total
-
     def partial(self, i):
         """Formal partial derivative with respect to z_i (1-based)."""
         out = {}

@@ -183,9 +183,6 @@ class GaussianRational:
         return self._a == o[0] and self._b == o[1] and self._d == o[2]
 
     def __hash__(self):
-        # hash((re, im)) as Fractions; an integer hashes like its Fraction
-        if self._d == 1:
-            return hash((self._a, self._b))
         return hash((self.re, self.im))
 
     # -- rendering -------------------------------------------------------

@@ -12,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from toricsing.rationals import GaussianRational
 
-settings.register_profile("rationals", max_examples=100, deadline=None,
-                          derandomize=True, database=None)
-settings.load_profile("rationals")
+# applied to each test, so the settings of other Hypothesis tests stay as
+# they are
+reproducible = settings(max_examples=100, deadline=None, derandomize=True,
+                        database=None)
 
 small = st.integers(-50, 50)
 big = st.integers(-(10 ** 30), 10 ** 30)
@@ -77,6 +78,7 @@ def normalized(z):
     return z._d > 0 and gcd(z._a, z._b, z._d) == 1
 
 
+@reproducible
 @given(values, values)
 def test_field_operations_agree_with_model(x, y):
     zx, zy = gr(x), gr(y)
@@ -88,6 +90,7 @@ def test_field_operations_agree_with_model(x, y):
         assert agrees(q, m_div(x, y)) and normalized(q)
 
 
+@reproducible
 @given(values, operands)
 def test_int_and_fraction_operands(x, c):
     z, m = gr(x), (Fraction(c), Fraction(0))
@@ -101,6 +104,7 @@ def test_int_and_fraction_operands(x, c):
         assert agrees(c / z, m_div(m, x))
 
 
+@reproducible
 @given(values, st.integers(-6, 6))
 def test_powers_agree_with_model(x, e):
     if e < 0 and not any(x):
@@ -111,6 +115,7 @@ def test_powers_agree_with_model(x, e):
     assert agrees(z, m_pow(x, e)) and normalized(z)
 
 
+@reproducible
 @given(values, values)
 def test_equality_and_hash(x, y):
     zx, zy = gr(x), gr(y)
@@ -122,6 +127,7 @@ def test_equality_and_hash(x, y):
     assert hash(zx) == hash(x)
 
 
+@reproducible
 @given(values, operands)
 def test_equality_and_hash_with_int_and_fraction(x, c):
     z = gr(x)
@@ -134,6 +140,7 @@ def test_equality_and_hash_with_int_and_fraction(x, c):
     assert hash(as_gr) == hash((Fraction(c), Fraction(0)))
 
 
+@reproducible
 @given(values)
 def test_constructor_normalizes(x):
     z = gr(x)
@@ -143,6 +150,7 @@ def test_constructor_normalizes(x):
     assert from_str == z and normalized(from_str)
 
 
+@reproducible
 @given(values)
 def test_rendering_and_norm_match_model(x):
     z = gr(x)
@@ -153,6 +161,7 @@ def test_rendering_and_norm_match_model(x):
     assert GaussianRational.from_string(str(z)) == z
 
 
+@reproducible
 @given(values)
 def test_immutable(x):
     z = gr(x)
@@ -162,6 +171,7 @@ def test_immutable(x):
     assert agrees(z, x)
 
 
+@reproducible
 @given(values)
 def test_zero_division(x):
     z = gr(x)
