@@ -418,7 +418,8 @@ def subvariety_restriction(g: ToricPolynomial, index_set):
     reduced = []
     for b in gens:
         coords = linalg.coordinates_in_basis(b, basis)
-        assert coords is not None
+        if coords is None:
+            raise AnomalyDetected("generator not in the saturated span")
         reduced.append(coords)
     sub_v = build_variety(generators=reduced)
     kept = {}

@@ -29,7 +29,7 @@ from .family import (
     check_admissibility,
     check_condition_I,
 )
-from .lattice import face_lattice, hilbert_basis
+from .lattice import face_lattice
 from .newton import newton_polyhedron
 from .parser import parse_problem
 from .polynomials import Poly
@@ -106,7 +106,7 @@ def run(command, args) -> tuple[int, dict]:
     if command == "dual":
         out["dual_rays"] = [list(r) for r in v.dual.rays]
     elif command == "hilbert":
-        out["hilbert_basis"] = [list(h) for h in hilbert_basis(v.dual)]
+        out["hilbert_basis"] = [list(h) for h in v.hilbert_basis]
     elif command == "faces":
         if problem.polynomial is not None:
             np_ = newton_polyhedron(problem.polynomial)

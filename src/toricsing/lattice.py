@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .errors import (
     AmbientDimTooLarge,
+    AnomalyDetected,
     EmptyInput,
     NotStronglyConvex,
     UnboundedBelow,
@@ -87,24 +88,18 @@ def _pointed_extreme_rays(ineqs, dim):
     The inequality matrix must have full column rank (pointed result).
     Returns primitive integer rays.
     """
-    # choose dim independent inequalities to seed a simplicial cone
-    chosen = []
-    rest = []
-    for a in ineqs:
-        if len(chosen) < dim and linalg.rank(chosen + [list(a)]) > len(chosen):
-            chosen.append(list(a))
-        else:
-            rest.append(tuple(a))
-    assert len(chosen) == dim, "inequality system is not pointed"
-    processed = [tuple(c) for c in chosen]
+    # the pivot columns of the transposed system are the first dim
+    # independent inequalities; they seed a simplicial cone
+    pivots = linalg._row_reduce(
+        [[Fraction(a[i]) for a in ineqs] for i in range(dim)], len(ineqs))
+    if len(pivots) < dim:
+        raise AnomalyDetected("inequality system is not pointed")
+    chosen = [tuple(ineqs[k]) for k in pivots]
+    rest = [tuple(a) for k, a in enumerate(ineqs) if k not in pivots]
+    processed = list(chosen)
 
-    # simplicial seed: rays r_j with <a_k, r_j> = delta_{kj}
-    rays = []
-    for j in range(dim):
-        target = [Fraction(1 if k == j else 0) for k in range(dim)]
-        sol, _ = linalg.solve_rational(chosen, target)
-        assert sol is not None
-        rays.append(linalg.integerize(sol))
+    # seed rays r_j with <a_k, r_j> = delta_{kj}: the columns of the inverse
+    rays = [linalg.integerize(col) for col in zip(*linalg._inverse(chosen))]
 
     def active_set(r):
         return frozenset(i for i, a in enumerate(processed) if dot(a, r) == 0)
@@ -147,9 +142,7 @@ def polar_description(generators, n):
         return basis, []
     lineality = linalg.right_kernel_basis(gens)
     lineality = _canonical_lattice_basis(lineality) if lineality else []
-    rho = linalg.rank(gens)
-    if rho == 0:
-        return lineality, []
+    rho = n - len(lineality)  # rank-nullity
     basis, _ = linalg.saturation_basis(gens)
     # inequalities expressed in the row-space basis
     reduced = [tuple(dot(a, b) for b in basis) for a in gens]
@@ -200,6 +193,11 @@ def _canonical_lattice_basis(vectors):
 # cones
 # ---------------------------------------------------------------------------
 
+def _generators(lineality, rays):
+    """The pointed rays plus each lineality vector in both signs."""
+    return tuple(rays) + tuple(l for v in lineality for l in (v, tuple(-x for x in v)))
+
+
 class RationalCone:
     """A rational polyhedral cone given by primitive integer generators.
 
@@ -209,12 +207,12 @@ class RationalCone:
     cones are equal exactly when their canonical data coincide.
     """
 
-    __slots__ = ("ambient_dim", "rays", "_lineality", "_dual_gens")
+    __slots__ = ("ambient_dim", "rays", "_lineality", "_dual")
 
     def __init__(self, ambient_dim, rays, _lineality=None, _trusted=False):
         _check_dim(ambient_dim)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "_dual_gens", None)
+        object.__setattr__(self, "_dual", None)
         if _trusted:
             object.__setattr__(self, "rays", tuple(rays))
             object.__setattr__(self, "_lineality", tuple(_lineality or ()))
@@ -234,12 +232,11 @@ class RationalCone:
             return
         # canonical form via double dualization
         lin_d, rays_d = polar_description(cleaned, ambient_dim)
-        dual_gens = list(rays_d) + [l for v in lin_d for l in (v, tuple(-x for x in v))]
+        dual_gens = _generators(lin_d, rays_d)
         lin_p, rays_p = polar_description(dual_gens, ambient_dim)
-        all_rays = list(rays_p) + [l for v in lin_p for l in (v, tuple(-x for x in v))]
-        object.__setattr__(self, "rays", tuple(sorted(all_rays)))
+        object.__setattr__(self, "rays", tuple(sorted(_generators(lin_p, rays_p))))
         object.__setattr__(self, "_lineality", tuple(lin_p))
-        object.__setattr__(self, "_dual_gens", tuple(dual_gens))
+        object.__setattr__(self, "_dual", (tuple(rays_d), dual_gens))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalCone is immutable")
@@ -270,20 +267,21 @@ class RationalCone:
     def is_full_dimensional(self) -> bool:
         return self.dim() == self.ambient_dim
 
+    def _dual_description(self):
+        """(facet normals, dual generators), dualized once per cone."""
+        if self._dual is None:
+            lin_d, rays_d = polar_description(list(self.rays), self.ambient_dim)
+            dual = (tuple(rays_d), _generators(lin_d, rays_d))
+            object.__setattr__(self, "_dual", dual)
+        return self._dual
+
     def dual_generators(self):
         """Generators of the dual cone (facet normals plus dual lineality)."""
-        if self._dual_gens is None:
-            lin_d, rays_d = polar_description(list(self.rays), self.ambient_dim)
-            gens = list(rays_d) + [
-                l for v in lin_d for l in (v, tuple(-x for x in v))
-            ]
-            object.__setattr__(self, "_dual_gens", tuple(gens))
-        return self._dual_gens
+        return self._dual_description()[1]
 
     def facet_normals(self):
         """The pointed part of the dual description (no lineality pairs)."""
-        lin_d, rays_d = polar_description(list(self.rays), self.ambient_dim)
-        return tuple(rays_d)
+        return self._dual_description()[0]
 
     # -- predicates ------------------------------------------------------
 
@@ -436,7 +434,8 @@ def hilbert_basis(cone: RationalCone):
         reduced_rays = []
         for r in cone.rays:
             c = linalg.coordinates_in_basis(r, basis)
-            assert c is not None, "ray not in the saturated span"
+            if c is None:
+                raise AnomalyDetected("ray not in the saturated span")
             reduced_rays.append(c)
         sub = RationalCone(d, reduced_rays)
         hb = hilbert_basis(sub)
@@ -525,8 +524,9 @@ def _parallelepiped_points(simplex_rays):
     points = set()
     for combo in itertools.product(*(range(x) for x in diag)):
         x0 = tuple(sum(u_inv[i][k] * combo[k] for k in range(d)) for i in range(d))
-        t, _ = linalg.solve_rational(cols, list(x0))
-        assert t is not None
+        t = linalg.solve_rational(cols, list(x0))
+        if t is None:
+            raise AnomalyDetected("parallelepiped point outside the simplex span")
         frac = [ti - (ti.numerator // ti.denominator) for ti in t]
         pt = tuple(
             int(sum(frac[j] * Fraction(cols[i][j]) for j in range(d)))

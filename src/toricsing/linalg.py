@@ -1,13 +1,19 @@
-"""Exact integer and rational linear algebra.
+"""Exact linear algebra.
 
-Everything here operates on tuples/lists of ints or Fractions. Matrices are
-lists of rows. Sizes are tiny (ambient dimension is capped at 4), so the
-implementations favour clarity and exactness over asymptotics.
+Matrices are lists of rows. All elimination goes through one field-generic
+Gauss–Jordan core, ``_row_reduce``: rank, rational solves and inverses run
+it on Fractions, and ``solve_field_system`` runs it on Gaussian rationals
+or rational functions. Integer lattice work (Smith normal form, kernels,
+saturations) and the simplex membership oracle are separate algorithms.
+Sizes are tiny (ambient dimension is capped at 4), so the implementations
+favour clarity and exactness over asymptotics.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from .errors import AnomalyDetected
 
 
 # ---------------------------------------------------------------------------
@@ -43,10 +49,6 @@ def integerize(v):
     return primitive(scaled)
 
 
-def add_vec(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def sub_vec(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
@@ -60,103 +62,109 @@ def is_zero_vec(v):
 
 
 # ---------------------------------------------------------------------------
-# rational elimination
+# exact elimination
 # ---------------------------------------------------------------------------
 
-def rank(rows) -> int:
-    """Rank of a matrix with int/Fraction entries."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    r = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
+def _row_reduce(aug, n):
+    """Gauss–Jordan elimination on the first n columns of aug, in place.
 
-
-def solve_rational(a_rows, b):
-    """Solve A x = b over the rationals.
-
-    Returns (particular_solution, nullspace_basis) with Fraction entries,
-    or (None, nullspace_basis) if the system is inconsistent.
+    Works over any exact field whose elements compare with 0 (Fraction,
+    GaussianRational, RationalFunction); columns past n are carried along.
+    Returns the pivot columns: row i of the result has its leading 1 in
+    column pivots[i], and the rows below len(pivots) are zero in the first
+    n columns.
     """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a_rows)]
     pivots = []
-    r = 0
     for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
         if piv is None:
             continue
         aug[r], aug[piv] = aug[piv], aug[r]
         inv = 1 / aug[r][c]
         aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
+        for i in range(len(aug)):
             if i != r and aug[i][c] != 0:
                 f = aug[i][c]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
         pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None, _nullspace_from_rref(aug, pivots, n)
-    sol = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][n]
-    return sol, _nullspace_from_rref(aug, pivots, n)
+    return pivots
 
 
-def _nullspace_from_rref(aug, pivots, n):
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -aug[i][fc]
-        basis.append(tuple(v))
-    return basis
+def _solve(aug, n, zero):
+    """Reduce aug = [A | b] in place; returns (solution or None, pivots).
+
+    The solution sets every free variable to zero; None means the system
+    is inconsistent.
+    """
+    pivots = _row_reduce(aug, n)
+    if any(row[n] != 0 for row in aug[len(pivots):]):
+        return None, pivots
+    sol = [zero] * n
+    for row, c in zip(aug, pivots):
+        sol[c] = row[n]
+    return sol, pivots
+
+
+def _rational_system(a_rows, b):
+    return [[Fraction(x) for x in row] + [Fraction(y)]
+            for row, y in zip(a_rows, b)]
+
+
+def _inverse(rows):
+    """Inverse of a square matrix with int/Fraction entries, as Fraction rows."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    if len(_row_reduce(aug, n)) < n:
+        raise AnomalyDetected("matrix to invert is singular")
+    return [row[n:] for row in aug]
+
+
+def rank(rows) -> int:
+    """Rank of a matrix with int/Fraction entries."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    return len(_row_reduce(m, len(m[0]) if m else 0))
+
+
+def solve_rational(a_rows, b):
+    """One solution of A x = b over the rationals, as Fractions.
+
+    Free variables are set to zero. Returns None when the system is
+    inconsistent.
+    """
+    n = len(a_rows[0]) if a_rows else 0
+    return _solve(_rational_system(a_rows, b), n, Fraction(0))[0]
+
+
+def solve_field_system(rows, rhs, zero, one):
+    """Solve A x = b over an exact field (Q(i), Q(i)(t), ...).
+
+    Returns (particular, nullspace_basis), with the free variables of the
+    particular solution at zero, or (None, nullspace_basis) when
+    inconsistent.
+    """
+    n = len(rows[0]) if rows else 0
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    sol, pivots = _solve(aug, n, zero)
+    null = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        vec = [zero] * n
+        vec[fc] = one
+        for row, pc in zip(aug, pivots):
+            vec[pc] = zero - row[fc]
+        null.append(vec)
+    return sol, null
 
 
 def invert_unimodular(m_rows):
     """Inverse of a unimodular integer matrix, as integer rows."""
-    n = len(m_rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(m_rows)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    out = []
-    for i in range(n):
-        row = aug[i][n:]
-        assert all(x.denominator == 1 for x in row), "matrix was not unimodular"
-        out.append(tuple(int(x) for x in row))
-    return out
-
-
-def mat_mul(a_rows, b_rows):
-    bt = list(zip(*b_rows))
-    return [tuple(dot(row, col) for col in bt) for row in a_rows]
+    inv = _inverse(m_rows)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise AnomalyDetected("matrix to invert is not unimodular")
+    return [tuple(int(x) for x in row) for row in inv]
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +306,8 @@ def saturation_basis(vectors):
 
 def coordinates_in_basis(vec, basis):
     """Integer coordinates of vec in the given lattice basis, or None."""
-    sol, _ = solve_rational(list(zip(*[list(b) for b in basis])), list(vec))
+    sol, _ = _solve(_rational_system(list(zip(*basis)), vec), len(basis),
+                    Fraction(0))
     if sol is None:
         return None
     if any(x.denominator != 1 for x in sol):

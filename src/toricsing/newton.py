@@ -24,18 +24,13 @@ from .errors import (
 )
 from .lattice import RationalCone, face_lattice, in_cone_oracle
 from .linalg import dot
+from .polynomials import _is_zero
 from .rationals import GaussianRational
 from .variety import ToricVariety
 
 
 def field_zero(sample):
     return sample - sample
-
-
-def _is_zero(c) -> bool:
-    if hasattr(c, "is_zero"):
-        return c.is_zero()
-    return c == 0
 
 
 class ToricPolynomial:
@@ -125,14 +120,6 @@ class LaurentForm:
 
     def has_cancellation(self) -> bool:
         return bool(self.cancelled)
-
-    def euler_derivative(self, i):
-        """theta_i = xi_i d/dxi_i, which keeps the support unchanged."""
-        out = {}
-        for lam, coeff in self.terms.items():
-            if lam[i] != 0:
-                out[lam] = coeff * lam[i]
-        return LaurentForm(self.n, out)
 
     def weighted_euler(self, w):
         """sum_i w_i theta_i, i.e. the term lambda gets factor <w, lambda>."""
@@ -343,9 +330,6 @@ class NewtonPolyhedron:
 
     def compact_faces(self):
         return [f for f in self.faces if f.is_compact]
-
-    def noncompact_faces(self):
-        return [f for f in self.faces if not f.is_compact]
 
     def contains_lattice_point(self, lam) -> bool:
         """Exact membership of a lattice point in the polyhedron."""

@@ -153,14 +153,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def compose_power(self, k: int) -> "Poly":
-        """Substitute the variable by its k-th power (k >= 1)."""
-        out = [self.zero] * (self.degree() * k + 1 if not self.is_zero() else 0)
-        for i, c in enumerate(self.coeffs):
-            if not _is_zero(c):
-                out[i * k] = c
-        return self._wrap(out)
-
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
@@ -180,14 +172,6 @@ def gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero():
         a, b = b, a % b
     return a.monic() if not a.is_zero() else a
-
-
-def squarefree_part_nonconstant(p: Poly) -> bool:
-    """True when p shares a nonconstant factor with its derivative."""
-    if p.is_zero():
-        return True
-    g = gcd(p, p.derivative())
-    return g.degree() >= 1
 
 
 class RationalFunction:

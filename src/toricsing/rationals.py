@@ -161,13 +161,16 @@ class GaussianRational:
         if exponent < 0:
             base = GaussianRational(1) / self
             exponent = -exponent
-        result = GaussianRational(1)
-        while exponent:
+        # square-and-multiply from the lowest set bit, with no squaring
+        # after the last one
+        result = None
+        while True:
             if exponent & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             exponent >>= 1
-        return result
+            if not exponent:
+                return result
+            base = base * base
 
     def norm(self) -> Fraction:
         """The field norm re^2 + im^2 (a nonnegative rational)."""

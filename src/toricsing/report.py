@@ -253,11 +253,7 @@ def replay_witnesses(report: dict):
     """Re-substitute every witness; returns [(path, ok)]."""
     results = []
     for path, data in iter_witnesses(report):
-        witness = witness_from_json(data)
-        if isinstance(witness, StructuralWitness):
-            results.append((path, witness.replay()))
-        else:
-            results.append((path, witness.replay()))
+        results.append((path, witness_from_json(data).replay()))
     return results
 
 

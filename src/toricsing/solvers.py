@@ -23,6 +23,7 @@ import random
 from fractions import Fraction
 
 from . import linalg
+from .errors import AnomalyDetected
 from .linalg import dot, is_zero_vec, primitive
 from .polynomials import Poly, gcd as poly_gcd
 from .rationals import GaussianRational, gaussian_nth_root, gaussian_sqrt
@@ -30,12 +31,6 @@ from .rationals import GaussianRational, gaussian_nth_root, gaussian_sqrt
 EMPTY = "empty"          # no torus solution exists
 SOLVABLE = "solvable"    # a torus solution exists
 UNKNOWN = "unknown"      # outside the decidable subclass / search exhausted
-
-
-def _is_zero(c) -> bool:
-    if hasattr(c, "is_zero"):
-        return c.is_zero()
-    return c == 0
 
 
 class Outcome:
@@ -359,52 +354,6 @@ def solve_monomial_system(gammas, values):
 
 
 # ---------------------------------------------------------------------------
-# generic-field linear algebra (coefficients in Q(i) or Q(i)(t))
-# ---------------------------------------------------------------------------
-
-def solve_field_system(rows, rhs, zero, one):
-    """Solve over an exact field. Returns (particular, nullspace) or
-    (None, nullspace) when inconsistent."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [[rows[i][j] for j in range(n)] + [rhs[i]] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if not _is_zero(aug[i][c])), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = one / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and not _is_zero(aug[i][c]):
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, m):
-        if not _is_zero(aug[i][n]):
-            return None, _field_nullspace(aug, pivots, n, zero, one)
-    sol = [zero] * n
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][n]
-    return sol, _field_nullspace(aug, pivots, n, zero, one)
-
-
-def _field_nullspace(aug, pivots, n, zero, one):
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [zero] * n
-        vec[fc] = one
-        for i, pc in enumerate(pivots):
-            vec[pc] = zero - aug[i][fc]
-        basis.append(vec)
-    return basis
-
-
-# ---------------------------------------------------------------------------
 # gradient systems (non-degeneracy of a face form)
 # ---------------------------------------------------------------------------
 
@@ -546,18 +495,23 @@ def _decide_planar(terms, supp, d_value, equations, exact_field,
     base = supp[0]
     diffs = [linalg.sub_vec(l, base) for l in supp[1:]]
     basis, completion = linalg.saturation_basis([list(d) for d in diffs])
-    assert len(basis) == 2
+    if len(basis) != 2:
+        raise AnomalyDetected("planar support spans a lattice of rank "
+                              f"{len(basis)}")
     w_inv = linalg.invert_unimodular([list(r) for r in completion])
-    base_coords = _int_coords(base, completion)
+    base_coords = linalg.coordinates_in_basis(base, completion)
+    if base_coords is None:
+        raise AnomalyDetected("unimodular completion misses a lattice point")
     if d_value == 0 and all(c == 0 for c in base_coords[2:]):
         return _fallback(equations, n, exact_field, seed, face_key, budget,
                          note="zero-degree planar face outside the subclass")
 
     reduced = {}
     for l, c in terms.items():
-        d = linalg.sub_vec(l, base)
-        coords = _int_coords(d, completion)
-        assert all(x == 0 for x in coords[2:])
+        coords = linalg.coordinates_in_basis(linalg.sub_vec(l, base),
+                                             completion)
+        if coords is None or any(coords[2:]):
+            raise AnomalyDetected("planar support point outside its plane")
         reduced[(coords[0], coords[1])] = c
     exps = sorted(reduced)
     k = len(exps)
@@ -579,15 +533,6 @@ def _decide_planar(terms, supp, d_value, equations, exact_field,
                      note=f"planar face with {k} terms exceeds the subclass")
 
 
-def _int_coords(vec, completion):
-    """Integer coordinates of vec in the rows of a unimodular matrix."""
-    sol, _ = linalg.solve_rational(
-        [list(col) for col in zip(*completion)], list(vec)
-    )
-    assert sol is not None and all(x.denominator == 1 for x in sol)
-    return tuple(int(x) for x in sol)
-
-
 def _decide_planar_quadrinomial(reduced, exps, terms, completion, w_inv,
                                 equations, exact_field, zero, one,
                                 seed, face_key, budget, n):
@@ -605,14 +550,14 @@ def _decide_planar_quadrinomial(reduced, exps, terms, completion, w_inv,
         [one * rel[0][1], one * rel[1][1], one * rel[2][1]],
     ]
     rhs = [zero - one, zero, zero]
-    sol, null = solve_field_system(rows, rhs, zero, one)
+    sol, null = linalg.solve_field_system(rows, rhs, zero, one)
     if sol is None:
         return Outcome(EMPTY, method="planar-quadrinomial",
                        detail="monomial-value system is inconsistent")
     kappas = linalg.left_kernel_basis([list(r) for r in rel])
     if not null:
         ms = sol
-        if any(_is_zero(m) for m in ms):
+        if any(m.is_zero() for m in ms):
             return Outcome(EMPTY, method="planar-quadrinomial",
                            detail="forced monomial value vanishes")
         for kappa in kappas:
@@ -711,7 +656,7 @@ def _decide_planar_one_parameter(sol, direction, cs, rel, kappas,
         candidates = _tau_candidates(exact_field)
         for tau in candidates:
             values = [mp.evaluate(tau) for mp in m_polys]
-            if any(_is_zero(v) for v in values):
+            if any(v.is_zero() for v in values):
                 continue
             out = _planar_family_witness(values, cs, rel, completion, w_inv,
                                          equations, exact_field, n,
@@ -733,7 +678,7 @@ def _decide_planar_one_parameter(sol, direction, cs, rel, kappas,
                               "specialization")
     for tau in gaussian_roots(h):
         values = [mp.evaluate(tau) for mp in m_polys]
-        if any(_is_zero(v) for v in values):
+        if any(v.is_zero() for v in values):
             continue
         out = _planar_family_witness(values, cs, rel, completion, w_inv,
                                      equations, exact_field, n,
@@ -819,7 +764,7 @@ def _decide_binomial_system(eqs, n_vars, names, exact_field,
                 p = val ** int(e) if e else None
                 if p is not None:
                     acc = p if acc is None else acc * p
-            if acc is not None and not _is_zero(acc - (acc / acc)):
+            if acc is not None and not (acc - (acc / acc)).is_zero():
                 return Outcome(EMPTY, method="binomial-system",
                                detail="character relation fails")
         return Outcome(SOLVABLE, method="binomial-system",

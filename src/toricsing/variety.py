@@ -73,6 +73,7 @@ class ToricVariety:
         sigma: the defining cone (strongly convex, full-dimensional).
         dual: its dual cone.
         generators: ordered tuple b_1..b_r of integer vectors.
+        hilbert_basis: the Hilbert basis of the dual cone, sorted.
         valid_index_sets: sorted tuple of the index sets {i : b_i on tau},
             1-based, one per face of the dual cone.
         warnings: structured warnings attached at build time.
@@ -84,18 +85,20 @@ class ToricVariety:
         "sigma",
         "dual",
         "generators",
+        "hilbert_basis",
         "valid_index_sets",
         "dual_faces_by_index_set",
         "warnings",
     )
 
-    def __init__(self, sigma, dual, generators, valid_index_sets,
-                 dual_faces_by_index_set, warnings):
+    def __init__(self, sigma, dual, generators, hilbert_basis,
+                 valid_index_sets, dual_faces_by_index_set, warnings):
         object.__setattr__(self, "n", sigma.ambient_dim)
         object.__setattr__(self, "r", len(generators))
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "dual", dual)
         object.__setattr__(self, "generators", tuple(tuple(g) for g in generators))
+        object.__setattr__(self, "hilbert_basis", tuple(hilbert_basis))
         object.__setattr__(self, "valid_index_sets", tuple(valid_index_sets))
         object.__setattr__(self, "dual_faces_by_index_set", dict(dual_faces_by_index_set))
         object.__setattr__(self, "warnings", tuple(warnings))
@@ -142,7 +145,7 @@ def build_variety(sigma_rays=None, generators=None,
         sigma = RationalCone.from_rays([tuple(r) for r in sigma_rays])
         _require_pointed_full_dim(sigma)
         dual = dual_cone(sigma)
-        gens = hilbert_basis(dual)
+        basis = gens = hilbert_basis(dual)
     else:
         gens = [tuple(int(x) for x in g) for g in generators]
         if not gens:
@@ -161,7 +164,8 @@ def build_variety(sigma_rays=None, generators=None,
             )
         sigma = dual_cone(dual)
         _require_pointed_full_dim(sigma)
-        missing = _missing_basis_elements(gens, dual)
+        basis = hilbert_basis(dual)
+        missing = _missing_basis_elements(gens, dual, basis)
         if missing:
             message = (
                 "generators do not generate the full lattice-point semigroup; "
@@ -186,6 +190,7 @@ def build_variety(sigma_rays=None, generators=None,
         sigma=sigma,
         dual=dual,
         generators=gens,
+        hilbert_basis=basis,
         valid_index_sets=valid,
         dual_faces_by_index_set=index_sets,
         warnings=warnings,
@@ -199,9 +204,8 @@ def _require_pointed_full_dim(sigma: RationalCone):
         raise NotMaximalDim("the defining cone is not full-dimensional")
 
 
-def _missing_basis_elements(gens, dual: RationalCone):
+def _missing_basis_elements(gens, dual: RationalCone, basis):
     """Hilbert basis elements that are not N-combinations of the generators."""
-    basis = hilbert_basis(dual)
     facets = dual.facet_normals()
     n = dual.ambient_dim
     ell = tuple(sum(f[i] for f in facets) for i in range(n))

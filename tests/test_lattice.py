@@ -284,3 +284,33 @@ def test_membership_oracle_agrees_with_dual_description():
         cone = random_pointed_cone(rng, n)
         v = tuple(rng.randint(-5, 5) for _ in range(n))
         assert lattice.contains(cone, v) == lattice.in_cone_oracle(v, cone.rays)
+
+
+def test_facet_normals_match_a_fresh_dualization():
+    # the dual description a cone keeps from its construction equals a
+    # dualization of its canonical rays, for pointed, lower-dimensional,
+    # non-pointed and trusted cones
+    rng = random.Random(59)
+    lower = lines = 0
+    for _ in range(120):
+        n = rng.choice([2, 3, 4])
+        rays = [tuple(rng.randint(-3, 3) for _ in range(n))
+                for _ in range(rng.randint(1, n + 2))]
+        if rng.random() < 0.4:  # flatten into the hyperplane x_n = x_1
+            rays = [r[:-1] + (r[0],) for r in rays]
+        try:
+            cone = RationalCone.from_rays(rays, n)
+        except EmptyInput:
+            continue
+        if not cone.rays:
+            continue
+        lower += cone.dim() < n
+        lines += not cone.is_strongly_convex()
+        lin, pointed = lattice.polar_description(list(cone.rays), n)
+        trusted = RationalCone(n, cone.rays, cone.lineality_basis,
+                               _trusted=True)
+        for c in (cone, trusted):
+            assert c.facet_normals() == tuple(pointed)
+            assert set(c.dual_generators()) == set(pointed) | set(lin) | {
+                tuple(-x for x in v) for v in lin}
+    assert lower >= 20 and lines >= 5

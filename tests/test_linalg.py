@@ -1,11 +1,24 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from toricsing import linalg
+from toricsing.errors import AnomalyDetected
+from toricsing.rationals import GaussianRational
 
 
 def random_matrix(rng, m, n, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
+
+
+def mat_mul(a_rows, b_rows):
+    bt = list(zip(*b_rows))
+    return [tuple(linalg.dot(row, col) for col in bt) for row in a_rows]
 
 
 def test_smith_normal_form_roundtrip():
@@ -15,7 +28,7 @@ def test_smith_normal_form_roundtrip():
         n = rng.randint(1, 4)
         a = random_matrix(rng, m, n)
         u, s, v = linalg.smith_normal_form(a)
-        left = linalg.mat_mul(linalg.mat_mul([list(r) for r in u], a), [list(r) for r in v])
+        left = mat_mul(mat_mul([list(r) for r in u], a), [list(r) for r in v])
         assert [list(r) for r in left] == [list(r) for r in s]
         # diagonal, nonnegative, divisibility chain
         for i in range(m):
@@ -97,3 +110,157 @@ def test_exact_simplex_matches_bruteforce():
                 [list(g) for g in gens] + [list(g) for g in gens], list(pt)
             )
             assert again is None
+
+
+# ---------------------------------------------------------------------------
+# the elimination core against sympy
+# ---------------------------------------------------------------------------
+
+def _low_rank_matrix(rng, m, n):
+    """A random m x n integer matrix, often singular: some rows are
+    multiples of earlier ones."""
+    rows = random_matrix(rng, m, n, -3, 3)
+    for i in range(1, m):
+        if rng.random() < 0.4:
+            j, k = rng.randrange(i), rng.randint(-2, 2)
+            rows[i] = [k * x for x in rows[j]]
+    return rows
+
+
+def test_rank_and_solve_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(23)
+    inconsistent = singular = 0
+    for _ in range(150):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        a = _low_rank_matrix(rng, m, n)
+        b = [rng.randint(-4, 4) for _ in range(m)]
+        ma = sympy.Matrix(a)
+        assert linalg.rank(a) == ma.rank()
+        singular += ma.rank() < min(m, n)
+        got = linalg.solve_rational(a, b)
+        try:
+            sol, params = ma.gauss_jordan_solve(sympy.Matrix(b))
+        except ValueError:  # sympy: the system has no solution
+            inconsistent += 1
+            assert got is None
+            continue
+        # free variables at zero give sympy's particular solution
+        want = sol.subs({p: 0 for p in params})
+        assert got == [Fraction(int(x.p), int(x.q)) for x in want]
+    assert inconsistent >= 10 and singular >= 10
+
+
+def _unimodular(rng, n):
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(6):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            k = rng.randint(-3, 3)
+            rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+        if rng.random() < 0.3:
+            rows[i] = [-x for x in rows[i]]
+    return rows
+
+
+def test_invert_unimodular_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(29)
+    refused = 0
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        a = _unimodular(rng, n) if rng.random() < 0.5 \
+            else random_matrix(rng, n, n, -3, 3)
+        det = sympy.Matrix(a).det()
+        if abs(det) != 1:
+            refused += 1
+            with pytest.raises(AnomalyDetected):
+                linalg.invert_unimodular(a)
+            continue
+        inv = sympy.Matrix(a).inv()
+        assert linalg.invert_unimodular(a) == [
+            tuple(int(inv[i, j]) for j in range(n)) for i in range(n)]
+    assert refused >= 10
+
+
+def _gr_matrix(rng, m, n):
+    return [[GaussianRational(rng.randint(-3, 3), rng.randint(-2, 2))
+             for _ in range(n)] for _ in range(m)]
+
+
+def _apply(rows, x):
+    total = GaussianRational(0)
+    return [sum((a * b for a, b in zip(row, x)), total) for row in rows]
+
+
+def _minors(rows):
+    """The 2 x 2 minors of the first two rows."""
+    (a, b) = rows[:2]
+    return [a[j] * b[k] - a[k] * b[j] for j in range(3) for k in range(j)]
+
+
+def test_solve_field_system_over_gaussian_rationals():
+    rng = random.Random(31)
+    zero, one = GaussianRational(0), GaussianRational(1)
+    seen = {"consistent": 0, "inconsistent": 0, "line": 0}
+    for _ in range(60):
+        a = _gr_matrix(rng, 3, 3)
+        kind = rng.choice(sorted(seen))
+        if kind != "consistent":
+            # third row = first + i * second: rank 2 (a one-dimensional
+            # nullspace) when the first two rows are independent
+            a[2] = [x + GaussianRational(0, 1) * y for x, y in zip(a[0], a[1])]
+        x0 = [GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+              for _ in range(3)]
+        b = _apply(a, x0)
+        if kind == "inconsistent":
+            b[2] = b[2] + one
+        sol, null = linalg.solve_field_system(a, b, zero, one)
+        rank_two = any(not m.is_zero() for m in _minors(a))
+        if kind == "inconsistent" and rank_two:
+            assert sol is None and len(null) == 1
+            seen[kind] += 1
+            continue
+        assert sol is not None
+        assert _apply(a, sol) == b
+        for v in null:
+            assert not all(x.is_zero() for x in v)
+            assert all(y.is_zero() for y in _apply(a, v))
+        if kind == "line" and rank_two:
+            assert len(null) == 1
+            seen[kind] += 1
+        elif kind == "consistent" and not null:
+            seen[kind] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_pivot_columns_are_the_greedy_independent_rows():
+    rng = random.Random(37)
+    for _ in range(100):
+        dim = rng.randint(1, 4)
+        rows = _low_rank_matrix(rng, rng.randint(1, 7), dim)
+        greedy = []
+        for k, row in enumerate(rows):
+            chosen = [rows[j] for j in greedy]
+            if linalg.rank(chosen + [row]) > len(greedy):
+                greedy.append(k)
+        transposed = [[Fraction(row[i]) for row in rows] for i in range(dim)]
+        assert linalg._row_reduce(transposed, len(rows)) == greedy
+
+
+INVERT_NOT_UNIMODULAR = (
+    "from toricsing import linalg; "
+    "linalg.invert_unimodular([[2, 0], [0, 1]])"
+)
+
+
+def test_invert_unimodular_refuses_a_non_unimodular_matrix():
+    with pytest.raises(AnomalyDetected, match="not unimodular"):
+        linalg.invert_unimodular([[2, 0], [0, 1]])
+    # the check is not an assert: it stays on under python -O
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", INVERT_NOT_UNIMODULAR],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "AnomalyDetected: matrix to invert is not unimodular" in proc.stderr

@@ -89,3 +89,29 @@ def test_nth_root_of_huge_rational_is_exact():
     assert gaussian_nth_root(gr(-(10 ** 900)), 5) == gr(-(10 ** 180))
     assert gaussian_nth_root(gr(10 ** 900 + 1), 3) is None
     assert gaussian_nth_root(gr(Fraction(8, 10 ** 900 + 1)), 3) is None
+
+
+def test_power_by_square_and_multiply(monkeypatch):
+    base = gr(Fraction(2, 3), -1)
+    for e in range(-8, 21):
+        want = gr(1)
+        for _ in range(abs(e)):
+            want = want * base
+        if e < 0:
+            want = gr(1) / want
+        assert base ** e == want
+    # c**7 = c * c^2 * c^4: two squarings and two products
+    calls = []
+    original = GaussianRational.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(GaussianRational, "__mul__", counting)
+    base ** 7
+    assert len(calls) == 4
+    calls.clear()
+    base ** 1
+    base ** -1
+    assert calls == []
