@@ -18,7 +18,6 @@ from .newton import (
     newton_polyhedron,
     torus_form,
 )
-from .rationals import GaussianRational
 from .variety import build_variety
 
 HOLDS = "holds"
@@ -86,12 +85,17 @@ def _renamed(point, names):
 class Verdict:
     """Three-valued outcome with evidence and optional witness."""
 
+    __slots__ = ("status", "method", "evidence", "witness", "trace")
+
     def __init__(self, status, method, evidence, witness=None, trace=None):
-        self.status = status
-        self.method = method
-        self.evidence = evidence
-        self.witness = witness
-        self.trace = dict(trace or {})
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "evidence", evidence)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "trace", dict(trace or {}))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Verdict is immutable")
 
     @staticmethod
     def holds(method, evidence, trace=None):
@@ -123,12 +127,6 @@ def combine_verdicts(verdicts, holds_evidence):
     if not verdicts:
         method = METHOD_EXACT
     return Verdict.holds(method, holds_evidence)
-
-
-def _is_exact_field(g: ToricPolynomial) -> bool:
-    if g.is_zero():
-        return True
-    return isinstance(g.sample_coefficient(), GaussianRational)
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +171,26 @@ def vanishing_split(g: ToricPolynomial):
 # ---------------------------------------------------------------------------
 
 class EssentialFace:
-    """A non-compact face whose direction indexes a vanishing variety."""
+    """A non-compact face whose direction indexes a vanishing variety,
+    with its local tameness verdict once that has been checked."""
 
-    def __init__(self, face, direction, tame=None, tameness_radius=None):
-        self.face = face
-        self.direction = tuple(sorted(direction))
-        self.tame = tame
-        self.tameness_radius = tameness_radius
+    __slots__ = ("face", "direction", "tame")
+
+    def __init__(self, face, direction, tame=None):
+        object.__setattr__(self, "face", face)
+        object.__setattr__(self, "direction", tuple(sorted(direction)))
+        object.__setattr__(self, "tame", tame)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("EssentialFace is immutable")
+
+    @property
+    def tameness_radius(self):
+        """"infinite" when tameness holds (it then holds for every nonzero
+        frozen value), "unknown" otherwise, None before any check."""
+        if self.tame is None:
+            return None
+        return "infinite" if self.tame.status == HOLDS else "unknown"
 
     def key(self):
         return self.face.key()
@@ -253,7 +264,6 @@ def check_nondegeneracy(g: ToricPolynomial, seed=DEFAULT_SEED,
     """Decide whether every compact face function is regular on the torus."""
     if np is None:
         np = newton_polyhedron(g)
-    exact = _is_exact_field(g)
     warnings = []
     form = np.form
     if form.has_cancellation():
@@ -265,7 +275,7 @@ def check_nondegeneracy(g: ToricPolynomial, seed=DEFAULT_SEED,
     for face in np.compact_faces():
         _, face_form = face_function(g, face, np=np)
         verdict = _face_nondegeneracy_verdict(
-            face_form, face, g.variety.n, exact, seed, budget
+            face_form, face, g.variety.n, seed, budget
         )
         face_verdicts[face.key()] = verdict
     overall = combine_verdicts(
@@ -275,45 +285,51 @@ def check_nondegeneracy(g: ToricPolynomial, seed=DEFAULT_SEED,
     return NondegeneracyResult(overall, face_verdicts, np, warnings)
 
 
-def _face_nondegeneracy_verdict(face_form: LaurentForm, face, n, exact,
+def _face_nondegeneracy_verdict(face_form: LaurentForm, face, n,
                                 seed, budget) -> Verdict:
     outcome = solvers.decide_gradient_system(
-        face_form.terms, n, face.value, exact_field=exact,
+        face_form.terms, n, face.value,
         seed=seed, face_key=str(face.key()), budget=budget,
     )
+    return _verdict_from_outcome(
+        outcome, {"face": face.key()}, "solutions",
+        tuple(f"xi{i+1}" for i in range(n)),
+        solvers.gradient_equations(face_form.terms, n, face.value),
+        f"face {face.key()}",
+    )
+
+
+def _verdict_from_outcome(outcome, trace, found, names, equations,
+                          context) -> Verdict:
+    """The verdict a solver outcome gives for a condition that fails
+    exactly when the system is solvable.
+
+    Empty holds; solvable fails with the solver's witness, replayed on the
+    given equations under the given names. A solvable outcome without a
+    witness is a pending failure over Q(i)(t), to be witnessed by a
+    specialization, and Capped unknown over Q(i). Anything else is unknown.
+    """
     method = _SOLVER_METHODS.get(outcome.method, METHOD_CAPPED)
-    trace = {"face": face.key(), "solver": outcome.method,
-             "detail": outcome.detail}
+    trace = dict(trace, solver=outcome.method, detail=outcome.detail)
     if outcome.status == solvers.EMPTY:
         return Verdict.holds(method, outcome.detail, trace=trace)
-    if outcome.status == solvers.SOLVABLE:
-        if outcome.witness is None:
-            if exact:
-                return Verdict.unknown(
-                    METHOD_CAPPED,
-                    "solutions exist but no witness was constructed",
-                    trace=trace,
-                )
-            trace["witness_pending"] = True
-            return Verdict(FAILS, method,
-                           outcome.detail + " (witness via specialization)",
-                           witness=None, trace=trace)
-        names = tuple(f"xi{i+1}" for i in range(n))
-        equations = _gradient_equations(face_form, n, face.value)
-        witness = CertifiedWitness(
-            names, outcome.witness, equations,
-            context=f"face {face.key()}",
-        )
-        _require_replay(witness)
-        return Verdict.fails(method, outcome.detail, witness, trace=trace)
-    return Verdict.unknown(method, outcome.detail, trace=trace)
-
-
-def _gradient_equations(face_form: LaurentForm, n, d_value):
-    eqs = [m for m in solvers.euler_maps(face_form.terms, n) if m]
-    if d_value == 0:
-        eqs = [dict(face_form.terms)] + eqs
-    return eqs
+    if outcome.status != solvers.SOLVABLE:
+        return Verdict.unknown(method, outcome.detail, trace=trace)
+    if outcome.witness is None:
+        if solvers.is_exact(equations[0]):
+            return Verdict.unknown(
+                METHOD_CAPPED,
+                f"{found} exist but no witness was constructed",
+                trace=trace,
+            )
+        trace["witness_pending"] = True
+        return Verdict(FAILS, method,
+                       outcome.detail + " (witness via specialization)",
+                       witness=None, trace=trace)
+    witness = CertifiedWitness(names, outcome.witness, equations,
+                               context=context)
+    _require_replay(witness)
+    return Verdict.fails(method, outcome.detail, witness, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -338,65 +354,41 @@ def check_local_tameness(g: ToricPolynomial, ef: EssentialFace,
     free = [j for j in range(1, r + 1) if j not in direction]
     equations = [sub.partial(j) for j in free]
     equations = [e for e in equations if e]
-    exact = _is_exact_field(g)
     outcome = solvers.decide_equation_system(
-        equations, r, exact_field=exact,
-        seed=seed, face_key="tame:" + str(ef.key()), budget=budget,
+        equations, r, seed=seed, face_key="tame:" + str(ef.key()),
+        budget=budget,
     )
-    method = _SOLVER_METHODS.get(outcome.method, METHOD_CAPPED)
     trace = {
         "face": ef.key(),
         "direction": list(ef.direction),
         "free_variables": free,
-        "solver": outcome.method,
-        "detail": outcome.detail,
     }
-    if outcome.status == solvers.EMPTY:
-        v = Verdict.holds(method, outcome.detail, trace=trace)
-        ef.tame = v
-        ef.tameness_radius = "infinite"
-        return v
-    if outcome.status == solvers.SOLVABLE:
-        if outcome.witness is None:
-            if exact:
-                v = Verdict.unknown(
-                    METHOD_CAPPED,
-                    "critical points exist but no witness was constructed",
-                    trace=trace,
-                )
-            else:
-                trace["witness_pending"] = True
-                v = Verdict(FAILS, method,
-                            outcome.detail + " (witness via specialization)",
-                            witness=None, trace=trace)
-        else:
-            names = tuple(f"z{j}" for j in range(1, r + 1))
-            witness = CertifiedWitness(names, outcome.witness, equations,
-                                       context=f"tameness {ef.key()}")
-            _require_replay(witness)
-            v = Verdict.fails(method, outcome.detail, witness, trace=trace)
-        ef.tame = v
-        ef.tameness_radius = "unknown"
-        return v
-    v = Verdict.unknown(method, outcome.detail, trace=trace)
-    ef.tame = v
-    ef.tameness_radius = "unknown"
-    return v
+    return _verdict_from_outcome(
+        outcome, trace, "critical points",
+        tuple(f"z{j}" for j in range(1, r + 1)), equations,
+        f"tameness {ef.key()}",
+    )
 
 
 def check_all_tameness(g: ToricPolynomial, seed=DEFAULT_SEED,
                        budget=DEFAULT_BUDGET, np=None, split=None):
-    """Tameness along every vanishing variety: all essential faces."""
-    faces = essential_noncompact_faces(g, np=np, split=split)
-    verdicts = []
-    for ef in faces:
-        verdicts.append(check_local_tameness(g, ef, seed=seed, budget=budget))
+    """Tameness along every vanishing variety: all essential faces.
+
+    Returns the combined verdict and new EssentialFace objects, each
+    carrying its own tameness verdict.
+    """
+    checked = [
+        EssentialFace(ef.face, ef.direction,
+                      tame=check_local_tameness(g, ef, seed=seed,
+                                                budget=budget))
+        for ef in essential_noncompact_faces(g, np=np, split=split)
+    ]
     overall = combine_verdicts(
-        verdicts,
+        [ef.tame for ef in checked],
         holds_evidence="every essential face function is locally tame with "
                        "infinite radius",
     )
-    return overall, faces
+    return overall, checked
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +406,7 @@ def subvariety_restriction(g: ToricPolynomial, index_set):
     if not key:
         raise InvalidIndexSet("the empty index set has no ambient variety")
     gens = [v.generators[i - 1] for i in key]
-    basis, _ = linalg.saturation_basis([list(b) for b in gens])
+    basis, _, _ = linalg.saturation_basis([list(b) for b in gens])
     reduced = []
     for b in gens:
         coords = linalg.coordinates_in_basis(b, basis)

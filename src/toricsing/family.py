@@ -285,14 +285,19 @@ def check_condition_II(fam: FamilyPolynomial, condition_I=None,
 
     samples = _sample_values(fam)
     details["samples"] = samples
-    if v_gen.status == FAILS and v_gen.witness is None:
-        v_gen = _witness_from_samples(fam, v_gen, samples, seed, budget,
-                                      details)
+    # one analysis per sample; None marks a sample that lost its support
+    sampled = []
     for t0 in samples:
         try:
-            sampled = specialize(fam, t0)
-            v_sample, _, _, _ = _specialization_verdict(sampled, seed, budget)
+            v_sample, _, _, _ = _specialization_verdict(
+                specialize(fam, t0), seed, budget)
         except (EmptySupport, EmptyInput):
+            v_sample = None
+        sampled.append(v_sample)
+    if v_gen.status == FAILS and v_gen.witness is None:
+        v_gen = _witness_from_samples(v_gen, samples, sampled, details)
+    for t0, v_sample in zip(samples, sampled):
+        if v_sample is None:
             details["anomalies"].append(
                 f"sample t = {t0} lost support although not exceptional"
             )
@@ -308,12 +313,11 @@ def check_condition_II(fam: FamilyPolynomial, condition_I=None,
     return v_zero, v_gen, details
 
 
-def _witness_from_samples(fam, verdict, samples, seed, budget, details):
+def _witness_from_samples(verdict, samples, sampled, details):
     """Replace a pending generic witness by one from an exact sample."""
-    for t0 in samples:
-        sampled = specialize(fam, t0)
-        v_sample, _, _, _ = _specialization_verdict(sampled, seed, budget)
-        if v_sample.status == FAILS and v_sample.witness is not None:
+    for t0, v_sample in zip(samples, sampled):
+        if (v_sample is not None and v_sample.status == FAILS
+                and v_sample.witness is not None):
             trace = dict(verdict.trace)
             trace["witness_sampled_at"] = str(t0)
             return Verdict.fails(

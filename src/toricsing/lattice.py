@@ -140,10 +140,9 @@ def polar_description(generators, n):
     if not gens:
         basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
         return basis, []
-    lineality = linalg.right_kernel_basis(gens)
-    lineality = _canonical_lattice_basis(lineality) if lineality else []
-    rho = n - len(lineality)  # rank-nullity
-    basis, _ = linalg.saturation_basis(gens)
+    basis, _, kernel = linalg.saturation_basis(gens)
+    lineality = _canonical_lattice_basis(kernel) if kernel else []
+    rho = len(basis)
     # inequalities expressed in the row-space basis
     reduced = [tuple(dot(a, b) for b in basis) for a in gens]
     rays_reduced = _pointed_extreme_rays(reduced, rho)
@@ -430,7 +429,7 @@ def hilbert_basis(cone: RationalCone):
     d = cone.dim()
     n = cone.ambient_dim
     if d < n:
-        basis, _ = linalg.saturation_basis([list(r) for r in cone.rays])
+        basis, _, _ = linalg.saturation_basis([list(r) for r in cone.rays])
         reduced_rays = []
         for r in cone.rays:
             c = linalg.coordinates_in_basis(r, basis)
@@ -508,7 +507,7 @@ def _parallelepiped_points(simplex_rays):
     n = len(simplex_rays[0])
     d = len(simplex_rays)
     if d < n:
-        basis, _ = linalg.saturation_basis(simplex_rays)
+        basis, _, _ = linalg.saturation_basis(simplex_rays)
         reduced = [linalg.coordinates_in_basis(r, basis) for r in simplex_rays]
         pts = _parallelepiped_points(reduced)
         return [

@@ -272,27 +272,14 @@ def left_kernel_basis(a_rows):
     return out
 
 
-def right_kernel_basis(a_rows):
-    """Basis of {x integer column : A x = 0}; the lattice is saturated."""
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    if n == 0:
-        return []
-    _, s, v = smith_normal_form(a_rows)
-    out = []
-    for j in range(n):
-        diag = s[j][j] if j < min(m, n) else 0
-        if diag == 0:
-            out.append(tuple(v[i][j] for i in range(n)))
-    return out
-
-
 def saturation_basis(vectors):
-    """Basis of span(vectors) ∩ Z^n together with a unimodular completion.
+    """Saturated bases of the row space and the right kernel, from one
+    Smith normal form.
 
-    Returns (basis, completion) where basis is a list of rho rows spanning the
-    saturated lattice and completion is an n x n unimodular matrix whose first
-    rho rows are exactly the basis.
+    Returns (basis, completion, kernel): basis is a list of rho rows spanning
+    span(vectors) ∩ Z^n; completion is an n x n unimodular matrix whose first
+    rho rows are exactly the basis; kernel is a basis of the saturated
+    lattice {x integer : <v, x> = 0 for every vector v}.
     """
     vecs = [tuple(int(x) for x in v) for v in vectors]
     n = len(vecs[0])
@@ -301,7 +288,10 @@ def saturation_basis(vectors):
     w = invert_unimodular(v)  # rows of V^{-1}
     basis = [tuple(w[i]) for i in range(rho)]
     completion = [tuple(w[i]) for i in range(n)]
-    return basis, completion
+    # the nonzero diagonal entries come first, so columns rho.. of V span
+    # the kernel of the vectors
+    kernel = [tuple(v[i][j] for i in range(n)) for j in range(rho, n)]
+    return basis, completion, kernel
 
 
 def coordinates_in_basis(vec, basis):

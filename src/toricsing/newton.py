@@ -15,6 +15,7 @@ n <= 3 (cone dimension <= 4); for n = 4 only weight queries are available.
 from __future__ import annotations
 
 from .errors import (
+    AnomalyDetected,
     ConstantTermForbidden,
     EmptyInput,
     EmptySupport,
@@ -73,9 +74,6 @@ class ToricPolynomial:
             sum(exponent[i] * gens[i][j] for i in range(len(gens)))
             for j in range(n)
         )
-
-    def sample_coefficient(self):
-        return next(iter(self.terms.values()))
 
     def partial(self, i):
         """Formal partial derivative with respect to z_i (1-based)."""
@@ -340,9 +338,6 @@ class NewtonPolyhedron:
         gens += [tuple(v) + (0,) for v in self.recession.rays]
         return in_cone_oracle(lam + (1,), gens)
 
-    def face_keys(self):
-        return [f.key() for f in self.faces]
-
     def owns(self, face: PolyFace) -> bool:
         values = [dot(face.weight, s) for s in self.support]
         if not values:
@@ -376,10 +371,11 @@ def compact_boundary(np: NewtonPolyhedron):
     out = []
     for face in np.compact_faces():
         gens = np.variety.generators
-        assert all(dot(face.weight, b) > 0 for b in gens), (
-            "compact face witness must pair strictly positively with all "
-            "generators"
-        )
+        if not all(dot(face.weight, b) > 0 for b in gens):
+            raise AnomalyDetected(
+                "compact face witness must pair strictly positively with all "
+                "generators"
+            )
         out.append(face)
     return out
 

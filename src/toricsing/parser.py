@@ -12,6 +12,7 @@ import json
 from fractions import Fraction
 
 from .errors import (
+    AnomalyDetected,
     ConstantTermForbidden,
     EmptyInput,
     ParseError,
@@ -262,7 +263,8 @@ def parse_polynomial(text: str, variety: ToricVariety) -> ToricPolynomial:
     terms = {}
     zero_exp = tuple(0 for _ in range(variety.r))
     for (exp, tdeg), coeff in value.terms.items():
-        assert tdeg == 0
+        if tdeg != 0:
+            raise AnomalyDetected("parameter term in a plain polynomial")
         if exp == zero_exp:
             raise ConstantTermForbidden(
                 "the polynomial has a nonzero constant term"

@@ -14,6 +14,7 @@ from .checks import (
     NondegeneracyResult,
     Verdict,
 )
+from .errors import AnomalyDetected
 from .family import AdmissibilityReport, StructuralWitness, Stratum
 from .newton import NewtonPolyhedron, PolyFace
 from .polynomials import Poly
@@ -56,7 +57,8 @@ def witness_to_json(witness):
                 k: repr(v) for k, v in sorted(witness.differences.items())
             },
         }
-    assert isinstance(witness, CertifiedWitness)
+    if not isinstance(witness, CertifiedWitness):
+        raise AnomalyDetected(f"cannot serialize witness {witness!r}")
     point = witness.point
     base = {
         "kind": point.kind,
@@ -67,13 +69,14 @@ def witness_to_json(witness):
         base["assignments"] = {
             n: _coeff_str(v) for n, v in zip(point.names, point.values)
         }
-    else:
-        assert isinstance(point, AlgebraicWitness)
+    elif isinstance(point, AlgebraicWitness):
         base["modulus"] = [_coeff_str(c) for c in point.modulus.coeffs]
         base["assignments"] = {
             n: [_coeff_str(c) for c in v.coeffs]
             for n, v in zip(point.names, point.values)
         }
+    else:
+        raise AnomalyDetected(f"cannot serialize witness point {point!r}")
     return base
 
 

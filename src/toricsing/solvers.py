@@ -5,15 +5,22 @@ Shapes handled exactly:
   * supports of affine dimension one, via univariate gcd/square-free algebra;
   * binomial equation systems, via character-lattice consistency;
   * two-dimensional supports with at most four terms, via torus
-    linearization (the monomial values satisfy a linear system plus one
-    multiplicative relation, which eliminates to a univariate problem);
+    linearization (the monomial values solve a nonsingular linear system
+    and must satisfy the multiplicative relations among the exponents);
   * single equations with several terms, via one-parameter substitution.
 
 Everything else falls back to a seeded randomized search whose candidates
 are certified by exact substitution; with no certified candidate the
-outcome is honest "unknown". Witnesses are either exact Gaussian-rational
-points or algebraic points: values in Q(i)[s]/(m(s)) for a stored
-nonconstant modulus m, verified by polynomial arithmetic mod m.
+outcome is honest "unknown". Coefficients may lie in Q(i) or, for a generic
+family member, in Q(i)(t); the field is read off the coefficients, and over
+Q(i)(t) a solvable outcome carries no witness.
+
+Witnesses are exact Gaussian-rational points or algebraic points: values in
+Q(i)[s]/(m(s)) for a stored nonconstant modulus m, verified by polynomial
+arithmetic mod m. Both exact reductions to one variable (a support line and
+a one-parameter substitution) end in one builder, ``_subgroup_witness``: it
+tries each Q(i) root s of the square-free modulus as the point s^direction,
+and otherwise returns s^direction mod m as an algebraic witness.
 """
 from __future__ import annotations
 
@@ -24,7 +31,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import AnomalyDetected
-from .linalg import dot, is_zero_vec, primitive
+from .linalg import dot, primitive
 from .polynomials import Poly, gcd as poly_gcd
 from .rationals import GaussianRational, gaussian_nth_root, gaussian_sqrt
 
@@ -39,10 +46,13 @@ class Outcome:
     __slots__ = ("status", "witness", "method", "detail")
 
     def __init__(self, status, witness=None, method="", detail=""):
-        self.status = status
-        self.witness = witness
-        self.method = method
-        self.detail = detail
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "detail", detail)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Outcome is immutable")
 
     def __repr__(self):
         return f"Outcome({self.status}, method={self.method})"
@@ -185,6 +195,12 @@ def derived_rng(seed, face_key) -> random.Random:
     return random.Random(int(digest[:16], 16))
 
 
+def is_exact(terms) -> bool:
+    """Whether the coefficients of a term map lie in Q(i) (GaussianRational)
+    rather than in the family field Q(i)(t) (RationalFunction)."""
+    return isinstance(next(iter(terms.values())), GaussianRational)
+
+
 _SEARCH_POOL = [
     GaussianRational(1),
     GaussianRational(-1),
@@ -254,7 +270,8 @@ def bezout_vector(gamma):
         m = [a * v for v in m]
         m[i] = b if x > 0 else -b
         g = gg
-    assert g == linalg.vector_gcd(gamma) and g > 0
+    if g <= 0 or g != linalg.vector_gcd(gamma):
+        raise AnomalyDetected(f"Bezout vector of {tuple(gamma)} is wrong")
     return tuple(m)
 
 
@@ -354,22 +371,65 @@ def solve_monomial_system(gammas, values):
 
 
 # ---------------------------------------------------------------------------
+# one-parameter subgroups
+# ---------------------------------------------------------------------------
+
+def _line_polynomial(terms, degree):
+    """The terms as a polynomial in u: the term at l becomes c*u^k with
+    k = degree[l] - min(degree), so the constant term is nonzero."""
+    low = min(degree.values())
+    sample = next(iter(terms.values()))
+    zero = sample - sample
+    coeffs = [zero] * (max(degree.values()) - low + 1)
+    for l, c in terms.items():
+        coeffs[degree[l] - low] = coeffs[degree[l] - low] + c
+    return Poly(coeffs, zero=zero, one=sample / sample)
+
+
+def _subgroup_witness(modulus, direction, names, equations):
+    """A solution s^direction with s a root of the square-free modulus.
+
+    Each Q(i) root of the modulus is tried as a point witness first; when
+    none verifies, s^direction mod the modulus is an algebraic witness.
+    Returns the verified witness, or None.
+    """
+    for root in gaussian_roots(modulus):
+        if root.is_zero():
+            continue
+        w = PointWitness(names, tuple(root ** int(e) for e in direction))
+        if w.verify(equations):
+            return w
+    m = modulus
+    if m.degree() < 1 or m.constant_term().is_zero():
+        return None
+    s = Poly.variable() % m
+    s_inv = _poly_mod_inverse(s, m)
+    values = [
+        Poly.constant(GaussianRational(1)) if e == 0
+        else _pow_mod(s if e > 0 else s_inv, abs(int(e)), m)
+        for e in direction
+    ]
+    w = AlgebraicWitness(names, values, m)
+    return w if w.verify(equations) else None
+
+
+# ---------------------------------------------------------------------------
 # gradient systems (non-degeneracy of a face form)
 # ---------------------------------------------------------------------------
 
-def decide_gradient_system(terms, n, d_value, exact_field=True,
-                           seed=0, face_key="", budget=200):
+def decide_gradient_system(terms, n, d_value, seed=0, face_key="",
+                           budget=200):
     """Does theta_i L = 0 (i = 1..n) have a solution on the torus?
 
     terms maps lattice exponents (length n) to nonzero coefficients; it is
     the collected face form. For d_value == 0 the value equation L = 0 is
-    included instead of relying on weighted homogeneity.
+    included instead of relying on weighted homogeneity. Coefficients in
+    Q(i)(t) are decided exactly, but a solvable outcome then carries no
+    witness: it comes from specializing t.
     """
     supp = sorted(terms)
     k = len(supp)
-    equations = [m for m in euler_maps(terms, n) if m]
-    if d_value == 0:
-        equations = [dict(terms)] + equations
+    equations = gradient_equations(terms, n, d_value)
     if k == 1:
         return Outcome(EMPTY, method="monomial-face",
                        detail="single monomial never vanishes on the torus")
@@ -377,16 +437,25 @@ def decide_gradient_system(terms, n, d_value, exact_field=True,
     dim = linalg.rank([list(d) for d in diffs])
     if dim == 1:
         return _decide_collinear(terms, supp, d_value, equations,
-                                 exact_field, seed, face_key, budget)
+                                 seed, face_key, budget)
     if dim == 2:
         return _decide_planar(terms, supp, d_value, equations,
-                              exact_field, seed, face_key, budget)
-    return _fallback(equations, n, exact_field, seed, face_key, budget,
+                              seed, face_key, budget)
+    return _fallback(equations, n, seed, face_key, budget,
                      note=f"support dimension {dim} exceeds the subclass")
 
 
-def _fallback(equations, n_vars, exact_field, seed, face_key, budget, note):
-    if exact_field:
+def gradient_equations(terms, n, d_value):
+    """The nonzero Euler derivatives of the face form, led by the form
+    itself when d_value == 0."""
+    equations = [m for m in euler_maps(terms, n) if m]
+    if d_value == 0:
+        equations = [dict(terms)] + equations
+    return equations
+
+
+def _fallback(equations, n_vars, seed, face_key, budget, note):
+    if is_exact(equations[0]):
         rng = derived_rng(seed, face_key)
         w = random_search(equations, n_vars, rng, budget)
         if w is not None:
@@ -395,41 +464,23 @@ def _fallback(equations, n_vars, exact_field, seed, face_key, budget, note):
     return Outcome(UNKNOWN, method="capped", detail=note)
 
 
-def _decide_collinear(terms, supp, d_value, equations, exact_field,
-                      seed, face_key, budget):
+def _decide_collinear(terms, supp, d_value, equations, seed, face_key,
+                      budget):
     """Support on a line: reduce to univariate square-free/gcd algebra."""
     n = len(supp[0])
-    base = supp[0]
-    delta = None
-    for l in supp[1:]:
-        d = linalg.sub_vec(l, base)
-        if not is_zero_vec(d):
-            delta = primitive(d)
-            break
-    # orient so all support points sit at nonnegative steps from the base
-    steps = []
-    for l in supp:
-        d = linalg.sub_vec(l, base)
-        j = next(i for i in range(n) if delta[i] != 0)
-        steps.append(Fraction(d[j], delta[j]))
-    if min(steps) < 0:
-        shift = min(steps)
-        base = supp[steps.index(shift)]
-        steps = [s - shift for s in steps]
-    assert all(s.denominator == 1 and s >= 0 for s in steps)
-    degree_of = {l: int(s) for l, s in zip(supp, steps)}
-    sample = next(iter(terms.values()))
-    zero = sample - sample
-    coeffs = [zero] * (max(degree_of.values()) + 1)
-    for l, c in terms.items():
-        coeffs[degree_of[l]] = coeffs[degree_of[l]] + c
-    p = Poly(coeffs, zero=zero, one=sample / sample)
+    delta = primitive(linalg.sub_vec(supp[1], supp[0]))
+    j = next(i for i in range(n) if delta[i] != 0)
+    steps = {l: Fraction(l[j] - supp[0][j], delta[j]) for l in supp}
+    if any(s.denominator != 1 for s in steps.values()):
+        raise AnomalyDetected("collinear support is off its lattice line")
+    # the base is the support point at the lowest step along delta
+    base = min(supp, key=steps.get)
+    p = _line_polynomial(terms, {l: int(s) for l, s in steps.items()})
     pprime = p.derivative()
 
     parallel = linalg.rank([list(base), list(delta)]) <= 1
     if parallel and d_value != 0:
         # base = c * delta with c != 0: gradient reduces to c*P + u*P' = 0
-        j = next(i for i in range(n) if delta[i] != 0)
         c = Fraction(base[j], delta[j])
         target = p.scale(c.numerator) + pprime.shift(1).scale(c.denominator)
         reason = "parallel support line: roots of c*P + u*P'"
@@ -439,62 +490,29 @@ def _decide_collinear(terms, supp, d_value, equations, exact_field,
         reason = "repeated nonzero roots of the line polynomial"
     if target.degree() <= 0:
         return Outcome(EMPTY, method="collinear-exact", detail=reason)
-    modulus = squarefree_part(target)
-    if not exact_field:
+    if not is_exact(terms):
         return Outcome(SOLVABLE, method="collinear-exact",
                        detail=reason + "; witness via specialization")
-    return _witness_from_line(modulus, delta, len(supp[0]), equations,
-                              reason, seed, face_key, budget)
-
-
-def _witness_from_line(modulus, delta, n, equations, reason,
-                       seed, face_key, budget):
-    """Build a witness xi with xi^delta = root of the modulus."""
-    mvec = bezout_vector(delta)  # <mvec, delta> = 1 (delta primitive)
     names = tuple(f"v{i+1}" for i in range(n))
-    for root in gaussian_roots(modulus):
-        if root.is_zero():
-            continue
-        values = tuple(root ** int(mvec[i]) for i in range(n))
-        w = PointWitness(names, values)
-        if w.verify(equations):
-            return Outcome(SOLVABLE, witness=w, method="collinear-exact",
-                           detail=reason)
-    # algebraic witness: coordinates are powers of s modulo the modulus
-    m = modulus
-    if not m.constant_term().is_zero():
-        s_poly = Poly.variable()
-        values = []
-        ok = True
-        for i in range(n):
-            e = mvec[i]
-            if e >= 0:
-                val = Poly([GaussianRational(0)] * e + [GaussianRational(1)]) % m
-            else:
-                inv = _poly_mod_inverse(s_poly, m)
-                if inv is None:
-                    ok = False
-                    break
-                val = Poly.constant(GaussianRational(1))
-                for _ in range(-e):
-                    val = (val * inv) % m
-            values.append(val)
-        if ok:
-            w = AlgebraicWitness(names, values, m)
-            if w.verify(equations):
-                return Outcome(SOLVABLE, witness=w, method="collinear-exact",
-                               detail=reason + "; algebraic witness")
-    return _fallback(equations, n, True, seed, face_key, budget,
+    # <bezout, delta> = 1, so xi = s^bezout gives xi^delta = s
+    w = _subgroup_witness(squarefree_part(target), bezout_vector(delta),
+                          names, equations)
+    if w is not None:
+        detail = reason
+        if w.kind == "algebraic":
+            detail += "; algebraic witness"
+        return Outcome(SOLVABLE, witness=w, method="collinear-exact",
+                       detail=detail)
+    return _fallback(equations, n, seed, face_key, budget,
                      note=reason + "; witness construction failed")
 
 
-def _decide_planar(terms, supp, d_value, equations, exact_field,
-                   seed, face_key, budget):
+def _decide_planar(terms, supp, d_value, equations, seed, face_key, budget):
     """Support of affine dimension two: reduce to two torus variables."""
     n = len(supp[0])
     base = supp[0]
     diffs = [linalg.sub_vec(l, base) for l in supp[1:]]
-    basis, completion = linalg.saturation_basis([list(d) for d in diffs])
+    basis, completion, _ = linalg.saturation_basis([list(d) for d in diffs])
     if len(basis) != 2:
         raise AnomalyDetected("planar support spans a lattice of rank "
                               f"{len(basis)}")
@@ -503,7 +521,7 @@ def _decide_planar(terms, supp, d_value, equations, exact_field,
     if base_coords is None:
         raise AnomalyDetected("unimodular completion misses a lattice point")
     if d_value == 0 and all(c == 0 for c in base_coords[2:]):
-        return _fallback(equations, n, exact_field, seed, face_key, budget,
+        return _fallback(equations, n, seed, face_key, budget,
                          note="zero-degree planar face outside the subclass")
 
     reduced = {}
@@ -528,17 +546,18 @@ def _decide_planar(terms, supp, d_value, equations, exact_field,
     if k == 4:
         return _decide_planar_quadrinomial(
             reduced, exps, terms, completion, w_inv, equations,
-            exact_field, zero, one, seed, face_key, budget, n)
-    return _fallback(equations, n, exact_field, seed, face_key, budget,
+            zero, one, seed, face_key, budget, n)
+    return _fallback(equations, n, seed, face_key, budget,
                      note=f"planar face with {k} terms exceeds the subclass")
 
 
 def _decide_planar_quadrinomial(reduced, exps, terms, completion, w_inv,
-                                equations, exact_field, zero, one,
+                                equations, zero, one,
                                 seed, face_key, budget, n):
     """Four-term planar face: linearize in the three non-base monomials."""
     base_exp = (0, 0)
-    assert base_exp in exps
+    if base_exp not in exps:
+        raise AnomalyDetected("planar face misses its base point")
     others = [e for e in exps if e != base_exp]
     c0 = reduced[base_exp]
     # relative exponents and coefficients
@@ -550,33 +569,28 @@ def _decide_planar_quadrinomial(reduced, exps, terms, completion, w_inv,
         [one * rel[0][1], one * rel[1][1], one * rel[2][1]],
     ]
     rhs = [zero - one, zero, zero]
-    sol, null = linalg.solve_field_system(rows, rhs, zero, one)
-    if sol is None:
+    ms, null = linalg.solve_field_system(rows, rhs, zero, one)
+    if ms is None:
         return Outcome(EMPTY, method="planar-quadrinomial",
                        detail="monomial-value system is inconsistent")
-    kappas = linalg.left_kernel_basis([list(r) for r in rel])
-    if not null:
-        ms = sol
-        if any(m.is_zero() for m in ms):
+    if null:
+        # the columns (1, rel_j) are dependent only when the rel_j are
+        # collinear, and then consistency puts the base on their line
+        raise AnomalyDetected("consistent singular system on a planar face")
+    if any(m.is_zero() for m in ms):
+        return Outcome(EMPTY, method="planar-quadrinomial",
+                       detail="forced monomial value vanishes")
+    for kappa in linalg.left_kernel_basis([list(r) for r in rel]):
+        if not _relation_holds(ms, cs, kappa, one):
             return Outcome(EMPTY, method="planar-quadrinomial",
-                           detail="forced monomial value vanishes")
-        for kappa in kappas:
-            if not _relation_holds(ms, cs, kappa, one):
-                return Outcome(EMPTY, method="planar-quadrinomial",
-                               detail="multiplicative relation fails")
-        if not exact_field:
-            return Outcome(SOLVABLE, method="planar-quadrinomial",
-                           detail="monomial values realizable; witness via "
-                                  "specialization")
-        return _witness_from_monomial_values(
-            rel, [m / c for m, c in zip(ms, cs)], completion, w_inv,
-            equations, n, seed, face_key, budget)
-    if len(null) == 1:
-        return _decide_planar_one_parameter(
-            sol, null[0], cs, rel, kappas, completion, w_inv, equations,
-            exact_field, zero, one, seed, face_key, budget, n)
-    return _fallback(equations, n, exact_field, seed, face_key, budget,
-                     note="degenerate planar system outside the subclass")
+                           detail="multiplicative relation fails")
+    if not is_exact(terms):
+        return Outcome(SOLVABLE, method="planar-quadrinomial",
+                       detail="monomial values realizable; witness via "
+                              "specialization")
+    return _witness_from_monomial_values(
+        rel, [m / c for m, c in zip(ms, cs)], completion, w_inv,
+        equations, n, seed, face_key, budget)
 
 
 def _relation_holds(ms, cs, kappa, one):
@@ -609,119 +623,22 @@ def _witness_from_monomial_values(rel, values, completion, w_inv,
         if w.verify(equations):
             return Outcome(SOLVABLE, witness=w, method="planar-quadrinomial",
                            detail="witness from monomial-value solve")
-    return _fallback(equations, n, True, seed, face_key, budget,
+    return _fallback(equations, n, seed, face_key, budget,
                      note="planar solutions exist but witness roots are not "
                           "Gaussian rational")
-
-
-def _decide_planar_one_parameter(sol, direction, cs, rel, kappas,
-                                 completion, w_inv, equations, exact_field,
-                                 zero, one, seed, face_key, budget, n):
-    """Solution family M(tau) = sol + tau*direction; eliminate with the
-    single multiplicative relation."""
-    m_polys = [
-        Poly([sol[j], direction[j]], zero=zero, one=one) for j in range(3)
-    ]
-    if any(mp.is_zero() for mp in m_polys):
-        return Outcome(EMPTY, method="planar-quadrinomial",
-                       detail="monomial value forced to zero along the "
-                              "solution family")
-    if not kappas:
-        return _fallback(equations, n, exact_field, seed, face_key, budget,
-                         note="missing relation for planar family")
-    kappa = kappas[0]
-    lhs = Poly.constant(one, zero=zero, one=one)
-    rhs_acc = one
-    rhs_poly = Poly.constant(one, zero=zero, one=one)
-    for mp, c, e in zip(m_polys, cs, kappa):
-        e = int(e)
-        if e > 0:
-            for _ in range(e):
-                lhs = lhs * mp
-            rhs_acc = rhs_acc * (c ** e)
-        elif e < 0:
-            for _ in range(-e):
-                rhs_poly = rhs_poly * mp
-            rhs_acc = rhs_acc * (c ** e)
-    # relation: lhs(tau) = rhs_acc^{-1}... gather as lhs - C*rhs_poly = 0
-    relation = lhs - rhs_poly.scale(rhs_acc)
-    product_all = Poly.constant(one, zero=zero, one=one)
-    for mp in m_polys:
-        product_all = product_all * mp
-    if relation.is_zero():
-        if not exact_field:
-            return Outcome(SOLVABLE, method="planar-quadrinomial",
-                           detail="relation degenerate: the whole family is "
-                                  "realizable; witness via specialization")
-        candidates = _tau_candidates(exact_field)
-        for tau in candidates:
-            values = [mp.evaluate(tau) for mp in m_polys]
-            if any(v.is_zero() for v in values):
-                continue
-            out = _planar_family_witness(values, cs, rel, completion, w_inv,
-                                         equations, exact_field, n,
-                                         seed, face_key, budget)
-            if out is not None:
-                return out
-        return _fallback(equations, n, exact_field, seed, face_key, budget,
-                         note="relation degenerate; no sample point landed")
-    h = relation
-    g = poly_gcd(h, product_all)
-    if g.degree() >= 1:
-        h = h.divmod(g)[0]
-    if h.degree() < 1:
-        return Outcome(EMPTY, method="planar-quadrinomial",
-                       detail="all relation roots collapse a monomial value")
-    if not exact_field:
-        return Outcome(SOLVABLE, method="planar-quadrinomial",
-                       detail="relation has admissible roots; witness via "
-                              "specialization")
-    for tau in gaussian_roots(h):
-        values = [mp.evaluate(tau) for mp in m_polys]
-        if any(v.is_zero() for v in values):
-            continue
-        out = _planar_family_witness(values, cs, rel, completion, w_inv,
-                                     equations, exact_field, n,
-                                     seed, face_key, budget)
-        if out is not None:
-            return out
-    return _fallback(equations, n, True, seed, face_key, budget,
-                     note="planar family solvable but roots are not "
-                          "Gaussian rational")
-
-
-def _tau_candidates(exact_field):
-    if not exact_field:
-        return []
-    return [GaussianRational(x) for x in (1, -1, 2, -2, 3, -3)] + [
-        GaussianRational(Fraction(1, 2)), GaussianRational(0, 1)
-    ]
-
-
-def _planar_family_witness(values, cs, rel, completion, w_inv, equations,
-                           exact_field, n, seed, face_key, budget):
-    if not exact_field:
-        return Outcome(SOLVABLE, method="planar-quadrinomial",
-                       detail="family point realizable; witness via "
-                              "specialization")
-    out = _witness_from_monomial_values(
-        rel, [v / c for v, c in zip(values, cs)], completion, w_inv,
-        equations, n, seed, face_key, budget)
-    if out.status == SOLVABLE and out.witness is not None:
-        return out
-    return None
 
 
 # ---------------------------------------------------------------------------
 # general equation systems (local tameness)
 # ---------------------------------------------------------------------------
 
-def decide_equation_system(equations, n_vars, exact_field=True,
-                           seed=0, face_key="", budget=200):
+def decide_equation_system(equations, n_vars, seed=0, face_key="",
+                           budget=200):
     """Does the system of term maps have a common zero on the torus?
 
     Identically-zero equations must be removed by the caller or are removed
-    here; an empty system is solvable everywhere.
+    here; an empty system is solvable everywhere. As for gradient systems,
+    coefficients in Q(i)(t) give witness-free solvable outcomes.
     """
     eqs = [dict(e) for e in equations if e]
     names = tuple(f"v{i+1}" for i in range(n_vars))
@@ -736,17 +653,16 @@ def decide_equation_system(equations, n_vars, exact_field=True,
                        detail="a single-monomial equation never vanishes "
                               "on the torus")
     if all(len(e) == 2 for e in eqs):
-        return _decide_binomial_system(eqs, n_vars, names, exact_field,
+        return _decide_binomial_system(eqs, n_vars, names,
                                        seed, face_key, budget)
     if len(eqs) == 1:
-        return _decide_single_equation(eqs[0], n_vars, names, exact_field,
+        return _decide_single_equation(eqs[0], n_vars, names,
                                        seed, face_key, budget)
-    return _fallback(eqs, n_vars, exact_field, seed, face_key, budget,
+    return _fallback(eqs, n_vars, seed, face_key, budget,
                      note="multi-equation system outside the subclass")
 
 
-def _decide_binomial_system(eqs, n_vars, names, exact_field,
-                            seed, face_key, budget):
+def _decide_binomial_system(eqs, n_vars, names, seed, face_key, budget):
     gammas = []
     values = []
     for e in eqs:
@@ -755,7 +671,7 @@ def _decide_binomial_system(eqs, n_vars, names, exact_field,
         v = (cb / ca) * (-1)
         gammas.append(tuple(gamma))
         values.append(v)
-    if not exact_field:
+    if not is_exact(eqs[0]):
         # consistency is a rational-function identity; decide it exactly
         kernel = linalg.left_kernel_basis([list(g) for g in gammas])
         for kappa in kernel:
@@ -779,16 +695,15 @@ def _decide_binomial_system(eqs, n_vars, names, exact_field,
         if w.verify(eqs):
             return Outcome(SOLVABLE, witness=w, method="binomial-system",
                            detail="witness from character solve")
-    return _fallback(eqs, n_vars, exact_field, seed, face_key, budget,
+    return _fallback(eqs, n_vars, seed, face_key, budget,
                      note="binomial system solvable but roots are not "
                           "Gaussian rational")
 
 
-def _decide_single_equation(eq, n_vars, names, exact_field,
-                            seed, face_key, budget):
+def _decide_single_equation(eq, n_vars, names, seed, face_key, budget):
     """A single equation with >= 3 terms always vanishes somewhere on the
     torus; build a witness through a one-parameter substitution."""
-    if not exact_field:
+    if not is_exact(eq):
         return Outcome(SOLVABLE, method="curve-substitution",
                        detail="multi-term equation always vanishes on the "
                               "torus; witness via specialization")
@@ -801,50 +716,17 @@ def _decide_single_equation(eq, n_vars, names, exact_field,
                        detail="witness by direct search")
     exps = sorted(eq)
     mu = _separating_direction(exps, n_vars)
-    projections = [dot(mu, e) for e in exps]
-    shift = min(projections)
-    sample = next(iter(eq.values()))
-    zero = sample - sample
-    coeffs = [zero] * (max(projections) - shift + 1)
-    for e, proj in zip(exps, projections):
-        coeffs[proj - shift] = coeffs[proj - shift] + eq[e]
-    p = Poly(coeffs, zero=zero, one=sample / sample)
-    assert p.term_count() >= 2
-    for root in gaussian_roots(p):
-        if root.is_zero():
-            continue
-        values = tuple(root ** int(mu[i]) for i in range(n_vars))
-        w = PointWitness(names, values)
-        if w.verify([eq]):
-            return Outcome(SOLVABLE, witness=w, method="curve-substitution",
-                           detail="witness on a one-parameter subgroup")
-    m = squarefree_part(p)
-    if not m.constant_term().is_zero() and m.degree() >= 1:
-        s_poly = Poly.variable()
-        inv = _poly_mod_inverse(s_poly, m)
-        values = []
-        ok = True
-        for i in range(n_vars):
-            e = mu[i]
-            if e >= 0:
-                val = Poly([GaussianRational(0)] * e +
-                           [GaussianRational(1)]) % m
-            else:
-                if inv is None:
-                    ok = False
-                    break
-                val = Poly.constant(GaussianRational(1))
-                for _ in range(-e):
-                    val = (val * inv) % m
-            values.append(val)
-        if ok:
-            w = AlgebraicWitness(names, values, m)
-            if w.verify([eq]):
-                return Outcome(SOLVABLE, witness=w,
-                               method="curve-substitution",
-                               detail="algebraic witness on a one-parameter "
-                                      "subgroup")
-    return _fallback([eq], n_vars, exact_field, seed, face_key, budget,
+    p = _line_polynomial(eq, {e: dot(mu, e) for e in exps})
+    if p.term_count() < 2:
+        raise AnomalyDetected("separating direction collapsed the equation")
+    w = _subgroup_witness(squarefree_part(p), mu, names, [eq])
+    if w is not None:
+        detail = "witness on a one-parameter subgroup"
+        if w.kind == "algebraic":
+            detail = "algebraic " + detail
+        return Outcome(SOLVABLE, witness=w, method="curve-substitution",
+                       detail=detail)
+    return _fallback([eq], n_vars, seed, face_key, budget,
                      note="single-equation witness construction failed")
 
 
@@ -870,4 +752,4 @@ def _separating_direction(exps, n_vars):
         proj = [dot(mu, e) for e in exps]
         if len(set(proj)) == len(exps):
             return mu
-    raise AssertionError("no separating direction found")
+    raise AnomalyDetected("no separating direction found")

@@ -200,6 +200,25 @@ def test_tameness_staircase_constant_gradient(staircase_q5):
     assert faces[0].tameness_radius == "infinite"
 
 
+def test_tameness_check_returns_new_faces(tame_surface_poly, untame_c3_poly):
+    for g in (tame_surface_poly, untame_c3_poly):
+        before = essential_noncompact_faces(g)
+        verdict = check_local_tameness(g, before[0])
+        overall, faces = check_all_tameness(g)
+        assert all(ef.tame is None and ef.tameness_radius is None
+                   for ef in before)
+        assert [ef.key() for ef in faces] == [ef.key() for ef in before]
+        assert faces[0].tame.status == verdict.status
+        for ef in faces:
+            radius = "infinite" if ef.tame.status == HOLDS else "unknown"
+            assert ef.tameness_radius == radius
+        with pytest.raises(AttributeError):
+            faces[0].tame = None
+        with pytest.raises(AttributeError):
+            overall.status = HOLDS
+    assert {ef.tameness_radius for ef in faces} == {"infinite", "unknown"}
+
+
 def test_tameness_requires_essential_face(quartic_mixed):
     from toricsing.checks import EssentialFace
 

@@ -199,6 +199,25 @@ def test_family_command_staircase(tmp_path, capsys):
     assert "admissible: HOLDS" in text
 
 
+def test_family_command_sample_losing_support(tmp_path, capsys):
+    payload = {
+        "variety": {"generators": [[1, 0], [1, 1], [1, 2], [1, 3]]},
+        "family": "2*t*z2*z3-2*z1*z4+3*t*z1*z2*z3-3*z1^2*z4",
+    }
+    path = write_problem(tmp_path, payload)
+    report = str(tmp_path / "report.json")
+    code = cli(["family", "--input", path, "--format", "structured",
+                "--report", report, "--verify-witness"])
+    assert code == 2
+    assert "error" not in capsys.readouterr().err
+    data = json.loads(Path(report).read_text(encoding="utf-8"))
+    assert data["family"]["anomalies"] == [
+        "sample t = 1 lost support although not exceptional"
+    ]
+    results = replay_witnesses(data)
+    assert results and all(ok for _, ok in results)
+
+
 def test_stratify_constant_polynomial(tmp_path, capsys):
     payload = {
         "variety": {"generators": [[0, 1, 2], [2, 1, 0], [1, 0, 3],

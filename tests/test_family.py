@@ -14,8 +14,10 @@ from toricsing.family import (
     specialize,
 )
 from toricsing.newton import ToricPolynomial
+from toricsing.parser import parse_family
 from toricsing.polynomials import Poly
 from toricsing.rationals import GaussianRational
+from toricsing.variety import build_variety
 
 from conftest import gr, staircase
 
@@ -140,6 +142,23 @@ def test_generic_failure_witness_is_sampled(surface_variety):
     assert v_gen.witness is not None and v_gen.witness.replay()
     assert "witness_sampled_at" in v_gen.trace
     assert not details["anomalies"]
+
+
+def test_sample_losing_support_is_an_anomaly_not_a_crash():
+    # at t = 1 the torus form cancels completely although no coefficient
+    # vanishes there, so the sample t = 1 has no Newton polyhedron
+    v = build_variety(generators=[(1, 0), (1, 1), (1, 2), (1, 3)])
+    fam = parse_family("2*t*z2*z3-2*z1*z4+3*t*z1*z2*z3-3*z1^2*z4", v)
+    assert not is_exceptional(fam, 1)
+    report = check_admissibility(fam)
+    generic = report.condition_II_generic
+    assert generic.status == FAILS
+    assert generic.witness is not None and generic.witness.replay()
+    assert generic.evidence.endswith("; witness sampled at t = -1")
+    assert report.admissible.status == FAILS
+    assert report.anomalies == [
+        "sample t = 1 lost support although not exceptional"
+    ]
 
 
 def test_admissibility_staircase_instances():

@@ -314,3 +314,20 @@ def test_facet_normals_match_a_fresh_dualization():
             assert set(c.dual_generators()) == set(pointed) | set(lin) | {
                 tuple(-x for x in v) for v in lin}
     assert lower >= 20 and lines >= 5
+
+
+def test_polar_description_runs_one_smith_form(monkeypatch):
+    calls = []
+    smith = linalg.smith_normal_form
+
+    def counted(rows):
+        calls.append(rows)
+        return smith(rows)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counted)
+    # {v : v1 >= 0, -v1 >= 0, v2 >= 0} is the half-space v2 >= 0 of v1 = 0
+    lin, pointed = lattice.polar_description(
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 0)], 3)
+    assert len(calls) == 1
+    assert lin == [(0, 0, 1)]
+    assert pointed == [(0, 1, 0)]

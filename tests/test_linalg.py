@@ -52,7 +52,9 @@ def test_kernels_annihilate():
             assert all(
                 sum(x[i] * a[i][j] for i in range(m)) == 0 for j in range(n)
             )
-        for x in linalg.right_kernel_basis(a):
+        _, _, kernel = linalg.saturation_basis(a)
+        assert len(kernel) == n - linalg.rank(a)
+        for x in kernel:
             assert all(
                 sum(a[i][j] * x[j] for j in range(n)) == 0 for i in range(m)
             )
@@ -66,7 +68,7 @@ def test_saturation_basis_contains_rows():
         a = random_matrix(rng, m, n)
         if all(all(x == 0 for x in row) for row in a):
             continue
-        basis, completion = linalg.saturation_basis(a)
+        basis, completion, _ = linalg.saturation_basis(a)
         # completion is unimodular
         inv = linalg.invert_unimodular([list(r) for r in completion])
         assert inv is not None

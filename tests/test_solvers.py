@@ -1,12 +1,16 @@
+import inspect
 import random
 
+import pytest
+
 from toricsing.linalg import dot
-from toricsing.polynomials import Poly
+from toricsing.polynomials import Poly, RationalFunction
 from toricsing.rationals import GaussianRational
 from toricsing.solvers import (
     EMPTY,
     SOLVABLE,
     AlgebraicWitness,
+    Outcome,
     PointWitness,
     bezout_vector,
     decide_equation_system,
@@ -175,3 +179,61 @@ def test_search_fallback_finds_structured_point():
     assert out.status == SOLVABLE
     eqs = [dict(terms)] + [m for m in euler_maps(terms, 2) if m]
     assert out.witness.verify(eqs)
+
+
+def test_collinear_algebraic_witness_uses_inverse_powers():
+    # the line polynomial (u^2 - 3)^2 along delta = (3, 5): the repeated
+    # roots +-sqrt(3) leave Q(i), and the Bezout vector (2, -1) of delta
+    # needs both s^2 and s^-1 modulo s^2 - 3
+    base, delta = (1, 0), (3, 5)
+    line = [gr(9), gr(0), gr(-6), gr(0), gr(1)]
+    terms = {
+        tuple(b + k * x for b, x in zip(base, delta)): c
+        for k, c in enumerate(line) if not c.is_zero()
+    }
+    assert bezout_vector(delta) == (2, -1)
+    out = decide_gradient_system(terms, 2, 1)
+    assert out.status == SOLVABLE
+    assert out.detail.endswith("; algebraic witness")
+    w = out.witness
+    assert isinstance(w, AlgebraicWitness)
+    assert w.verify([m for m in euler_maps(terms, 2) if m])
+    m = w.modulus
+    assert m == Poly([gr(-3), gr(0), gr(1)])
+    for value, e in zip(w.values, bezout_vector(delta)):
+        power = Poly([gr(0)] * abs(e) + [gr(1)])
+        assert value.degree() < m.degree()
+        if e >= 0:
+            assert value == power % m
+        else:
+            assert (value * power) % m == Poly.constant(gr(1))
+    # s^2 = 3 and s^-1 = s/3 modulo s^2 - 3
+    assert w.values == (Poly.constant(gr(3)),
+                        Poly([gr(0), GaussianRational("1/3")]))
+
+
+def t_coeff(*coeffs):
+    return RationalFunction(Poly([gr(c) for c in coeffs]))
+
+
+def test_rational_function_systems_are_decided_without_witness():
+    for decide in (decide_gradient_system, decide_equation_system):
+        assert "exact_field" not in inspect.signature(decide).parameters
+    # (u - t)^2 along a line: a repeated root for every t
+    face = {(1, 0): t_coeff(0, 0, 1), (2, 1): t_coeff(0, -2),
+            (3, 2): t_coeff(1)}
+    single = {(1, 0): t_coeff(1), (0, 1): t_coeff(0, 1),
+              (1, 1): t_coeff(2)}
+    binomials = [{(1, 0): t_coeff(1), (0, 1): t_coeff(0, 1)}]
+    for out in (decide_gradient_system(face, 2, 1),
+                decide_equation_system([single], 2),
+                decide_equation_system(binomials, 2)):
+        assert out.status == SOLVABLE
+        assert out.witness is None
+        assert "witness via specialization" in out.detail
+
+
+def test_outcome_is_immutable():
+    out = Outcome(EMPTY, method="monomial-face")
+    with pytest.raises(AttributeError):
+        out.status = SOLVABLE
