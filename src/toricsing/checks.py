@@ -287,15 +287,15 @@ def check_nondegeneracy(g: ToricPolynomial, seed=DEFAULT_SEED,
 
 def _face_nondegeneracy_verdict(face_form: LaurentForm, face, n,
                                 seed, budget) -> Verdict:
+    equations = solvers.gradient_equations(face_form.terms, n, face.value)
     outcome = solvers.decide_gradient_system(
         face_form.terms, n, face.value,
         seed=seed, face_key=str(face.key()), budget=budget,
+        equations=equations,
     )
     return _verdict_from_outcome(
         outcome, {"face": face.key()}, "solutions",
-        tuple(f"xi{i+1}" for i in range(n)),
-        solvers.gradient_equations(face_form.terms, n, face.value),
-        f"face {face.key()}",
+        tuple(f"xi{i+1}" for i in range(n)), equations, f"face {face.key()}",
     )
 
 

@@ -1,14 +1,16 @@
 """Exact rational cone geometry.
 
 Cones are given by primitive integer ray generators. Duality runs through a
-double description pass (exact rationals throughout), Hilbert bases come from
-triangulation plus fundamental-parallelepiped enumeration, and face lattices
-are intersections of facet boundaries. The ambient dimension is capped at 4:
-anything larger raises instead of silently crawling.
+double description pass over exact rationals; face lattices are
+intersections of facet boundaries. Hilbert bases need integers only: the
+fundamental-parallelepiped points of each simplex of a triangulation come
+from one Smith normal form, and reduction compares facet values. The
+ambient dimension is capped at 4: anything larger raises.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -444,28 +446,26 @@ def hilbert_basis(cone: RationalCone):
         ]
         return sorted(lifted)
 
-    facets = cone.facet_normals()
-    ell = tuple(sum(f[i] for f in facets) for i in range(n))
-
     candidates = set(cone.rays)
     for simplex in _triangulate(cone):
         candidates.update(_parallelepiped_points(simplex))
-    candidates.discard(tuple(0 for _ in range(n)))
 
-    def member(v):
-        return all(dot(f, v) >= 0 for f in facets)
-
-    ordered = sorted(candidates, key=lambda v: (dot(ell, v), v))
-    basis_out = []
+    # c - h lies in the cone iff no facet value of h exceeds that of c; the
+    # degree (sum of facet values) is positive off 0, so only basis elements
+    # of lower degree can reduce a candidate
+    facets = cone.facet_normals()
+    values = {c: tuple(dot(f, c) for f in facets) for c in candidates}
+    ordered = sorted(candidates, key=lambda v: (sum(values[v]), v))
+    basis_out, basis_values = [], []
+    lower, degree = 0, None
     for c in ordered:
-        reducible = False
-        for h in basis_out:
-            diff = linalg.sub_vec(c, h)
-            if not is_zero_vec(diff) and member(diff):
-                reducible = True
-                break
-        if not reducible:
+        vc = values[c]
+        if sum(vc) != degree:
+            lower, degree = len(basis_out), sum(vc)
+        if not any(all(map(operator.le, vh, vc))
+                   for vh in basis_values[:lower]):
             basis_out.append(c)
+            basis_values.append(vc)
     return sorted(basis_out)
 
 
@@ -515,22 +515,25 @@ def _parallelepiped_points(simplex_rays):
             for p in pts
         ]
     cols = [list(col) for col in zip(*simplex_rays)]  # V with rays as columns
-    u, s, _ = linalg.smith_normal_form(cols)
-    diag = [s[i][i] for i in range(d)]
+    # U V W = S, so the lattice points U^{-1} c, 0 <= c_k < s_k, represent
+    # Z^d / V Z^d and have ray coordinates t = W S^{-1} c. With D the last
+    # invariant factor, frac(t) = num / D for num = (W (D/s_k) c) mod D, and
+    # the point is V num / D: integers only, no solve per point.
+    _, s, w = linalg.smith_normal_form(cols)
+    diag = [s[k][k] for k in range(d)]
     if any(x == 0 for x in diag):
-        raise ValueError("simplex rays are linearly dependent")
-    u_inv = linalg.invert_unimodular([list(r) for r in u])
+        raise AnomalyDetected("simplex rays are linearly dependent")
+    big = diag[-1]
+    orders = [x for x in diag if x > 1]
+    steps = [[w[i][k] * (big // x) for i in range(d)]
+             for k, x in enumerate(diag) if x > 1]
     points = set()
-    for combo in itertools.product(*(range(x) for x in diag)):
-        x0 = tuple(sum(u_inv[i][k] * combo[k] for k in range(d)) for i in range(d))
-        t = linalg.solve_rational(cols, list(x0))
-        if t is None:
-            raise AnomalyDetected("parallelepiped point outside the simplex span")
-        frac = [ti - (ti.numerator // ti.denominator) for ti in t]
-        pt = tuple(
-            int(sum(frac[j] * Fraction(cols[i][j]) for j in range(d)))
-            for i in range(d)
-        )
-        if not is_zero_vec(pt):
-            points.add(pt)
+    for combo in itertools.product(*map(range, orders)):
+        num = [sum(c * col[i] for c, col in zip(combo, steps)) % big
+               for i in range(d)]
+        scaled = [dot(row, num) for row in cols]
+        if any(x % big for x in scaled):
+            raise AnomalyDetected("parallelepiped point is not integral")
+        points.add(tuple(x // big for x in scaled))
+    points.discard(tuple(0 for _ in range(d)))
     return sorted(points)

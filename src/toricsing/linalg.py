@@ -1,8 +1,8 @@
 """Exact linear algebra.
 
 Matrices are lists of rows. All elimination goes through one field-generic
-Gauss–Jordan core, ``_row_reduce``: rank, rational solves and inverses run
-it on Fractions, and ``solve_field_system`` runs it on Gaussian rationals
+Gauss–Jordan core, ``_row_reduce``: rank, lattice coordinates and inverses
+run it on Fractions, and ``solve_field_system`` runs it on Gaussian rationals
 or rational functions. Integer lattice work (Smith normal form, kernels,
 saturations) and the simplex membership oracle are separate algorithms.
 Sizes are tiny (ambient dimension is capped at 4), so the implementations
@@ -106,11 +106,6 @@ def _solve(aug, n, zero):
     return sol, pivots
 
 
-def _rational_system(a_rows, b):
-    return [[Fraction(x) for x in row] + [Fraction(y)]
-            for row, y in zip(a_rows, b)]
-
-
 def _inverse(rows):
     """Inverse of a square matrix with int/Fraction entries, as Fraction rows."""
     n = len(rows)
@@ -125,16 +120,6 @@ def rank(rows) -> int:
     """Rank of a matrix with int/Fraction entries."""
     m = [[Fraction(x) for x in row] for row in rows]
     return len(_row_reduce(m, len(m[0]) if m else 0))
-
-
-def solve_rational(a_rows, b):
-    """One solution of A x = b over the rationals, as Fractions.
-
-    Free variables are set to zero. Returns None when the system is
-    inconsistent.
-    """
-    n = len(a_rows[0]) if a_rows else 0
-    return _solve(_rational_system(a_rows, b), n, Fraction(0))[0]
 
 
 def solve_field_system(rows, rhs, zero, one):
@@ -296,8 +281,9 @@ def saturation_basis(vectors):
 
 def coordinates_in_basis(vec, basis):
     """Integer coordinates of vec in the given lattice basis, or None."""
-    sol, _ = _solve(_rational_system(list(zip(*basis)), vec), len(basis),
-                    Fraction(0))
+    aug = [[Fraction(x) for x in row] + [Fraction(y)]
+           for row, y in zip(zip(*basis), vec)]
+    sol, _ = _solve(aug, len(basis), Fraction(0))
     if sol is None:
         return None
     if any(x.denominator != 1 for x in sol):
@@ -319,7 +305,8 @@ def nonneg_int_combination(target, generators, functional):
     gens = [tuple(int(x) for x in g) for g in generators]
     values = [dot(functional, g) for g in gens]
     if any(v <= 0 for v in values):
-        raise ValueError("functional must be strictly positive on generators")
+        raise AnomalyDetected(
+            "functional must be strictly positive on generators")
     order = sorted(range(len(gens)), key=lambda i: -values[i])
     coeffs = [0] * len(gens)
 
@@ -388,7 +375,7 @@ def nonneg_solve_exact(columns, target):
     while True:
         guard += 1
         if guard > 10000:
-            raise RuntimeError("simplex failed to terminate")
+            raise AnomalyDetected("simplex failed to terminate")
         # artificial variables never re-enter; only the k original columns do
         enter = next((j for j in range(k) if j not in basis and obj[j] > 0), None)
         if enter is None:

@@ -334,7 +334,7 @@ def parse_problem(path) -> Problem:
     rays = sigma if sigma is not None else gens
     if (not isinstance(rays, list) or not rays
             or not all(isinstance(r, list) and r
-                       and all(isinstance(x, int) for x in r) for r in rays)):
+                       and all(type(x) is int for x in r) for r in rays)):
         raise ParseError("rays/generators must be nonempty integer vectors")
     variety = build_variety(sigma_rays=sigma, generators=gens)
 
@@ -358,6 +358,8 @@ def parse_problem(path) -> Problem:
     for key in options:
         if key not in ("seed", "budget"):
             raise ParseError(f"unknown option {key!r}")
-        if not isinstance(options[key], int):
+        if type(options[key]) is not int:  # JSON true/false load as bool
             raise ParseError(f"option {key!r} must be an integer")
+    if options.get("budget", 0) < 0:
+        raise ParseError("option 'budget' must be nonnegative")
     return Problem(variety, polynomial, family, options, data)

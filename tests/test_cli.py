@@ -243,6 +243,35 @@ def test_missing_polynomial_is_usage_error(tmp_path, capsys):
     assert cli(["nondeg", "--input", str(path)]) == 1
 
 
+@pytest.mark.parametrize("payload", [
+    {"variety": {"sigma_rays": [[0, True], [2, -1]]}},
+    {"variety": {"generators": [[1, 0], [1, 1], [False, 2]]}},
+    dict(SURFACE, options={"seed": True}),
+    dict(SURFACE, options={"budget": False}),
+], ids=["sigma_rays", "generators", "seed", "budget"])
+def test_json_booleans_are_not_integers(tmp_path, capsys, payload):
+    path = write_problem(tmp_path, payload)
+    with pytest.raises(ParseError):
+        parse_problem(path)
+    assert cli(["dual", "--input", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("options, flags", [
+    ({"budget": -5}, []),
+    ({}, ["--budget", "-5"]),
+], ids=["options", "flag"])
+def test_negative_budget_is_usage_error(tmp_path, capsys, options, flags):
+    payload = dict(SURFACE, polynomial="z1^4+z1^2*z2+z1*z2^2-z1*z2*z3^2",
+                   options=options)
+    path = write_problem(tmp_path, payload)
+    assert cli(["analyze", "--input", path] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget" in captured.err and captured.err.count("\n") == 1
+
+
 def test_reports_are_deterministic(tmp_path):
     payload = dict(SURFACE)
     payload["polynomial"] = "z1^4+z1^2*z2+z1*z2^2-z1*z2*z3^2"

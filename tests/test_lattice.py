@@ -1,11 +1,14 @@
+import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from toricsing import lattice, linalg
 from toricsing.errors import (
     AmbientDimTooLarge,
+    AnomalyDetected,
     EmptyInput,
     NotStronglyConvex,
     UnboundedBelow,
@@ -331,3 +334,110 @@ def test_polar_description_runs_one_smith_form(monkeypatch):
     assert len(calls) == 1
     assert lin == [(0, 0, 1)]
     assert pointed == [(0, 1, 0)]
+
+
+# ---- the integer Hilbert-basis core against Fraction references ------------
+
+def _fraction_parallelepiped(simplex_rays):
+    """Reference: every lattice point of the box around the half-open
+    parallelepiped, kept when its Fraction solve V t = p has 0 <= t_i < 1."""
+    rows = list(zip(*simplex_rays))
+    box = [range(sum(min(0, x) for x in row), sum(max(0, x) for x in row) + 1)
+           for row in rows]
+    cols = [[Fraction(x) for x in row] for row in rows]
+    points = []
+    for p in itertools.product(*box):
+        t, _ = linalg.solve_field_system(cols, [Fraction(x) for x in p],
+                                         Fraction(0), Fraction(1))
+        if t is not None and all(0 <= x < 1 for x in t) and any(p):
+            points.append(p)
+    return points
+
+
+def _invariant_factors(simplex_rays):
+    _, s, _ = linalg.smith_normal_form([list(c) for c in zip(*simplex_rays)])
+    return [s[k][k] for k in range(len(simplex_rays))]
+
+
+def _random_simplices(rng):
+    """Seeded independent ray sets: full-rank 2-D and 3-D ones, 3-D ones
+    scaled so that several invariant factors exceed 1, and rank-deficient
+    ones whose rays span a sublattice of lower dimension."""
+    def independent(d, n, lo, hi, scale=1):
+        while True:
+            rays = [tuple(scale * rng.randint(lo, hi) for _ in range(n))
+                    for _ in range(d)]
+            if linalg.rank([list(r) for r in rays]) == d:
+                return rays
+    out = [[(2, 0, 0), (0, 6, 0), (0, 0, 4)], [(2, 2, 0), (0, 2, 2), (2, 0, 2)],
+           [(3, 0, 0), (0, 3, 0), (0, 0, 3)], [(1, 1, 0), (1, -1, 0)],
+           [(2, 0, 0), (0, 2, 4)], [(3, 6)], [(0, 2, -2)]]
+    for _ in range(60):
+        out.append(independent(2, 2, -6, 6))
+    for _ in range(60):
+        out.append(independent(3, 3, -2, 2))
+    for _ in range(30):
+        out.append(independent(3, 3, -1, 1, scale=2))
+    for _ in range(40):
+        out.append(independent(2, 3, -3, 3))
+    for _ in range(10):
+        out.append(independent(1, rng.choice([2, 3]), -4, 4))
+    return out
+
+
+def test_parallelepiped_points_match_a_fraction_reference():
+    simplices = _random_simplices(random.Random(61))
+    several = deficient = 0
+    for rays in simplices:
+        got = lattice._parallelepiped_points(rays)
+        assert sorted(got) == sorted(_fraction_parallelepiped(rays)), rays
+        assert len(set(got)) == len(got)
+        if len(rays) == len(rays[0]):
+            several += sum(x > 1 for x in _invariant_factors(rays)) >= 2
+        else:
+            deficient += 1
+    assert len(simplices) >= 200 and several >= 30 and deficient >= 50
+
+
+def test_parallelepiped_points_refuse_dependent_rays():
+    with pytest.raises(AnomalyDetected):
+        lattice._parallelepiped_points([(1, 2), (2, 4)])
+
+
+def test_hilbert_basis_of_seeded_3d_duals():
+    # dual cones of sigma_rays [(1,0,0),(0,1,0),(a,b,c)], c up to 40:
+    # every lattice point of the dual in a box is a nonnegative integer
+    # combination of the basis, and no basis element is one of the others
+    rng = random.Random(67)
+    for c in [40] + [rng.randint(2, 39) for _ in range(5)]:
+        a, b = rng.randint(0, c), rng.randint(0, c)
+        dual = dual_cone(RationalCone.from_rays([(1, 0, 0), (0, 1, 0),
+                                                 (a, b, c)]))
+        hb = hilbert_basis(dual)
+        facets = dual.facet_normals()
+        ell = tuple(sum(f[i] for f in facets) for i in range(3))
+        for h in hb:
+            assert dual.contains(h)
+            others = [g for g in hb if g != h]
+            assert linalg.nonneg_int_combination(h, others, ell) is None
+        for p in itertools.product(range(5), range(5), range(-4, 5)):
+            if any(p) and dual.contains(p):
+                assert linalg.nonneg_int_combination(p, hb, ell) is not None
+
+
+def test_hilbert_basis_of_the_large_baseline_cones():
+    # pinned: basis size, both ends and a hash of the whole sorted basis
+    planar = hilbert_basis(RationalCone.from_rays([(150, 1), (1, 150)]))
+    assert len(planar) == 299
+    assert planar[:3] == [(1, 1), (1, 2), (1, 3)]
+    assert planar[-3:] == [(148, 1), (149, 1), (150, 1)]
+    assert hashlib.sha256(repr(planar).encode()).hexdigest().startswith(
+        "4415c25b3165bb6e")
+    dual = dual_cone(RationalCone.from_rays([(1, 0, 0), (0, 1, 0),
+                                             (7, 9, 200)]))
+    spatial = hilbert_basis(dual)
+    assert len(spatial) == 46
+    assert spatial[:4] == [(0, 0, 1), (0, 1, 0), (0, 23, -1), (0, 45, -2)]
+    assert spatial[-3:] == [(113, 1, -4), (143, 0, -5), (200, 0, -7)]
+    assert hashlib.sha256(repr(spatial).encode()).hexdigest().startswith(
+        "797f270e4936d612")

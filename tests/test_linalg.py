@@ -140,7 +140,9 @@ def test_rank_and_solve_match_sympy():
         ma = sympy.Matrix(a)
         assert linalg.rank(a) == ma.rank()
         singular += ma.rank() < min(m, n)
-        got = linalg.solve_rational(a, b)
+        got, _ = linalg.solve_field_system(
+            [[Fraction(x) for x in row] for row in a],
+            [Fraction(y) for y in b], Fraction(0), Fraction(1))
         try:
             sol, params = ma.gauss_jordan_solve(sympy.Matrix(b))
         except ValueError:  # sympy: the system has no solution

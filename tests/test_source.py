@@ -2,6 +2,8 @@
 import ast
 from pathlib import Path
 
+from toricsing import errors
+
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "toricsing")
                  .glob("*.py"))
 
@@ -17,3 +19,30 @@ def test_no_assert_guards_an_invariant():
                     and node.id == "AssertionError"):
                 found.append(f"{path.name}:{node.lineno}")
     assert SOURCES and not found, found
+
+
+def test_cone_layer_raises_only_toric_errors():
+    # every failure of the cone layer reaches callers and the CLI as a
+    # ToricError; the one exception is the AttributeError that __setattr__
+    # of an immutable class must raise to keep the attribute protocol
+    found = []
+    for path in SOURCES:
+        if path.name not in ("lattice.py", "linalg.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        in_setattr = {id(node) for func in ast.walk(tree)
+                      if isinstance(func, ast.FunctionDef)
+                      and func.name == "__setattr__"
+                      for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.id if isinstance(exc, ast.Name) else None
+            cls = getattr(errors, name, None) if name else None
+            if isinstance(cls, type) and issubclass(cls, errors.ToricError):
+                continue
+            if name == "AttributeError" and id(node) in in_setattr:
+                continue
+            found.append(f"{path.name}:{node.lineno} {ast.unparse(exc)}")
+    assert not found, found
