@@ -289,9 +289,8 @@ def _face_nondegeneracy_verdict(face_form: LaurentForm, face, n,
                                 seed, budget) -> Verdict:
     equations = solvers.gradient_equations(face_form.terms, n, face.value)
     outcome = solvers.decide_gradient_system(
-        face_form.terms, n, face.value,
+        face_form.terms, n, face.value, equations,
         seed=seed, face_key=str(face.key()), budget=budget,
-        equations=equations,
     )
     return _verdict_from_outcome(
         outcome, {"face": face.key()}, "solutions",

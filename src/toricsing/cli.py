@@ -88,13 +88,13 @@ def _require_family(problem):
 
 def run(command, args) -> tuple[int, dict]:
     """Execute one command; returns (exit_code, structured_report)."""
-    if args.budget is not None and args.budget < 0:
-        raise ParseError("--budget must be nonnegative")
     problem = parse_problem(args.input)
     seed = args.seed if args.seed is not None \
         else problem.options.get("seed", DEFAULT_SEED)
     budget = args.budget if args.budget is not None \
         else problem.options.get("budget", DEFAULT_BUDGET)
+    if budget < 0:
+        raise ParseError("the budget must be nonnegative")
     v = problem.variety
     out = {
         "schema": report_mod.SCHEMA,

@@ -360,6 +360,4 @@ def parse_problem(path) -> Problem:
             raise ParseError(f"unknown option {key!r}")
         if type(options[key]) is not int:  # JSON true/false load as bool
             raise ParseError(f"option {key!r} must be an integer")
-    if options.get("budget", 0) < 0:
-        raise ParseError("option 'budget' must be nonnegative")
     return Problem(variety, polynomial, family, options, data)

@@ -417,21 +417,19 @@ def _subgroup_witness(modulus, direction, names, equations):
 # gradient systems (non-degeneracy of a face form)
 # ---------------------------------------------------------------------------
 
-def decide_gradient_system(terms, n, d_value, seed=0, face_key="",
-                           budget=200, equations=None):
+def decide_gradient_system(terms, n, d_value, equations, seed=0,
+                           face_key="", budget=200):
     """Does theta_i L = 0 (i = 1..n) have a solution on the torus?
 
     terms maps lattice exponents (length n) to nonzero coefficients; it is
-    the collected face form. For d_value == 0 the value equation L = 0 is
-    included instead of relying on weighted homogeneity; equations, when
-    given, is the caller's ``gradient_equations(terms, n, d_value)``.
+    the collected face form, and equations is its
+    ``gradient_equations(terms, n, d_value)``. For d_value == 0 the value
+    equation L = 0 is included instead of relying on weighted homogeneity.
     Coefficients in Q(i)(t) are decided exactly, but a solvable outcome then
     carries no witness: it comes from specializing t.
     """
     supp = sorted(terms)
     k = len(supp)
-    if equations is None:
-        equations = gradient_equations(terms, n, d_value)
     if k == 1:
         return Outcome(EMPTY, method="monomial-face",
                        detail="single monomial never vanishes on the torus")

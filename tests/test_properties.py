@@ -151,6 +151,7 @@ def test_gradient_decisions_agree_with_elimination_oracle():
         SOLVABLE,
         UNKNOWN,
         decide_gradient_system,
+        gradient_equations,
     )
     from conftest import sympy_gradient_torus_solvable
 
@@ -174,7 +175,8 @@ def test_gradient_decisions_agree_with_elimination_oracle():
             p: GaussianRational(rng.choice([-3, -2, -1, 1, 2, 3]))
             for p in supp
         }
-        out = decide_gradient_system(terms, n, d, budget=60)
+        out = decide_gradient_system(
+            terms, n, d, gradient_equations(terms, n, d), budget=60)
         if out.status == UNKNOWN:
             continue
         oracle = sympy_gradient_torus_solvable(terms, n)

@@ -17,12 +17,18 @@ from toricsing.solvers import (
     decide_gradient_system,
     euler_maps,
     gaussian_roots,
+    gradient_equations,
     solve_monomial_system,
 )
 
 
 def gr(x, y=0):
     return GaussianRational(x, y)
+
+
+def decide_gradient(terms, n, d_value, **kwargs):
+    return decide_gradient_system(
+        terms, n, d_value, gradient_equations(terms, n, d_value), **kwargs)
 
 
 def test_bezout_vector():
@@ -59,13 +65,13 @@ def test_gaussian_roots_quadratic():
 
 
 def test_gradient_monomial_face():
-    out = decide_gradient_system({(4, 0): gr(1)}, 2, 4)
+    out = decide_gradient({(4, 0): gr(1)}, 2, 4)
     assert out.status == EMPTY
 
 
 def test_gradient_vertical_segment_regular():
     # collected form xi1^4 - xi1^4 xi2^6: P = 1 - u^6 has no repeated roots
-    out = decide_gradient_system({(4, 0): gr(1), (4, 6): gr(-1)}, 2, 4)
+    out = decide_gradient({(4, 0): gr(1), (4, 6): gr(-1)}, 2, 4)
     assert out.status == EMPTY
     assert out.method == "collinear-exact"
 
@@ -73,7 +79,7 @@ def test_gradient_vertical_segment_regular():
 def test_gradient_repeated_root_segment():
     # xi1^2 (1 - xi2)^2: the line polynomial has the double root u = 1
     terms = {(2, 0): gr(1), (2, 1): gr(-2), (2, 2): gr(1)}
-    out = decide_gradient_system(terms, 2, 2)
+    out = decide_gradient(terms, 2, 2)
     assert out.status == SOLVABLE
     assert isinstance(out.witness, PointWitness)
     eqs = [m for m in euler_maps(terms, 2) if m]
@@ -82,14 +88,14 @@ def test_gradient_repeated_root_segment():
 
 def test_gradient_zero_degree_uses_value_equation():
     # xi1 + xi1^2 with d = 0: the zero set {xi1 = -1} is regular
-    out = decide_gradient_system({(1, 0): gr(1), (2, 0): gr(1)}, 2, 0)
+    out = decide_gradient({(1, 0): gr(1), (2, 0): gr(1)}, 2, 0)
     assert out.status == EMPTY
 
 
 def test_gradient_planar_trinomial_regular():
     # three-term planar faces are always non-degenerate
     terms = {(3, 0, 0): gr(1), (0, 3, 0): gr(1), (1, 1, 1): gr(-3)}
-    out = decide_gradient_system(terms, 3, 3)
+    out = decide_gradient(terms, 3, 3)
     assert out.status == EMPTY
     assert out.method == "planar-trinomial"
 
@@ -101,7 +107,7 @@ def test_gradient_fermat_like_quadrinomial():
         (3, 0, 0): gr(1), (0, 3, 0): gr(1), (0, 0, 3): gr(1),
         (1, 1, 1): gr(-3),
     }
-    out = decide_gradient_system(singular, 3, 3)
+    out = decide_gradient(singular, 3, 3)
     assert out.status == SOLVABLE
     assert out.witness is not None
     eqs = [m for m in euler_maps(singular, 3) if m]
@@ -111,7 +117,7 @@ def test_gradient_fermat_like_quadrinomial():
         (3, 0, 0): gr(1), (0, 3, 0): gr(1), (0, 0, 3): gr(1),
         (1, 1, 1): gr(1),
     }
-    out2 = decide_gradient_system(regular, 3, 3)
+    out2 = decide_gradient(regular, 3, 3)
     assert out2.status == EMPTY
 
 
@@ -175,7 +181,7 @@ def test_search_fallback_finds_structured_point():
     # (1+x)(1+y) expanded, shifted onto the torus, with d = 0: the point
     # (-1,-1) is a genuine singular point of the zero set
     terms = {(1, 1): gr(1), (2, 1): gr(1), (1, 2): gr(1), (2, 2): gr(1)}
-    out = decide_gradient_system(terms, 2, 0)
+    out = decide_gradient(terms, 2, 0)
     assert out.status == SOLVABLE
     eqs = [dict(terms)] + [m for m in euler_maps(terms, 2) if m]
     assert out.witness.verify(eqs)
@@ -192,7 +198,7 @@ def test_collinear_algebraic_witness_uses_inverse_powers():
         for k, c in enumerate(line) if not c.is_zero()
     }
     assert bezout_vector(delta) == (2, -1)
-    out = decide_gradient_system(terms, 2, 1)
+    out = decide_gradient(terms, 2, 1)
     assert out.status == SOLVABLE
     assert out.detail.endswith("; algebraic witness")
     w = out.witness
@@ -225,7 +231,7 @@ def test_rational_function_systems_are_decided_without_witness():
     single = {(1, 0): t_coeff(1), (0, 1): t_coeff(0, 1),
               (1, 1): t_coeff(2)}
     binomials = [{(1, 0): t_coeff(1), (0, 1): t_coeff(0, 1)}]
-    for out in (decide_gradient_system(face, 2, 1),
+    for out in (decide_gradient(face, 2, 1),
                 decide_equation_system([single], 2),
                 decide_equation_system(binomials, 2)):
         assert out.status == SOLVABLE
