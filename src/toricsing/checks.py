@@ -370,17 +370,20 @@ def check_local_tameness(g: ToricPolynomial, ef: EssentialFace,
 
 
 def check_all_tameness(g: ToricPolynomial, seed=DEFAULT_SEED,
-                       budget=DEFAULT_BUDGET, np=None, split=None):
+                       budget=DEFAULT_BUDGET, essential=None):
     """Tameness along every vanishing variety: all essential faces.
 
-    Returns the combined verdict and new EssentialFace objects, each
-    carrying its own tameness verdict.
+    essential is essential_noncompact_faces(g), computed if None. Returns
+    the combined verdict and new EssentialFace objects, each carrying its
+    own tameness verdict.
     """
+    if essential is None:
+        essential = essential_noncompact_faces(g)
     checked = [
         EssentialFace(ef.face, ef.direction,
                       tame=check_local_tameness(g, ef, seed=seed,
                                                 budget=budget))
-        for ef in essential_noncompact_faces(g, np=np, split=split)
+        for ef in essential
     ]
     overall = combine_verdicts(
         [ef.tame for ef in checked],

@@ -19,6 +19,7 @@ from .checks import (
     check_all_tameness,
     check_nondegeneracy,
     combine_verdicts,
+    essential_noncompact_faces,
     restriction_nondegeneracy_check,
     vanishing_split,
 )
@@ -143,7 +144,8 @@ def run(command, args) -> tuple[int, dict]:
         split = vanishing_split(g)
         nondeg = check_nondegeneracy(g, seed=seed, budget=budget, np=np_)
         tame_overall, faces = check_all_tameness(
-            g, seed=seed, budget=budget, np=np_, split=split
+            g, seed=seed, budget=budget,
+            essential=essential_noncompact_faces(g, np=np_, split=split),
         )
         out["newton"] = report_mod.newton_to_json(np_)
         out["nonvanishing_index_sets"] = [list(s) for s in split[0]]
@@ -175,10 +177,11 @@ def run(command, args) -> tuple[int, dict]:
         code = _EXIT_BY_STATUS[rep.admissible.status]
     elif command == "stratify":
         fam = _require_family(problem)
-        cond_I, _, _ = check_condition_I(fam)
+        condition_I = check_condition_I(fam)
+        cond_I = condition_I[0]
         out["condition_I"] = report_mod.verdict_to_json(cond_I)
         if cond_I.status == HOLDS:
-            strata = canonical_stratification(fam, condition_I=cond_I)
+            strata = canonical_stratification(fam, condition_I=condition_I)
             out["stratification"] = [
                 report_mod.stratum_to_json(s) for s in strata
             ]
@@ -201,9 +204,6 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         code, out = run(args.command, args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ToricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -41,6 +41,10 @@ class InvalidIndexSet(ToricError):
     """The index set does not come from a face of the dual cone."""
 
 
+class ZeroTorusCoordinate(ToricError):
+    """A point of the torus was given a zero coordinate."""
+
+
 # ---- Newton data ----
 
 class EmptySupport(ToricError):

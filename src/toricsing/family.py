@@ -153,6 +153,8 @@ class StructuralWitness:
 
 
 def _newton_summary(g: ToricPolynomial):
+    """The Newton data of one specialization, built once and compared by
+    condition I, then analysed by condition II and the stratification."""
     np_ = newton_polyhedron(g)
     split = vanishing_split(g)
     essential = essential_noncompact_faces(g, np=np_, split=split)
@@ -162,6 +164,7 @@ def _newton_summary(g: ToricPolynomial):
     full = tuple(range(1, g.variety.r + 1))
     proper = [f for f in np_.faces if f.noncompact_direction != full]
     return {
+        "polynomial": g,
         "polyhedron": np_,
         "vertices": tuple(np_.vertices),
         "face_keys": tuple(sorted(f.key() for f in proper)),
@@ -178,7 +181,10 @@ def check_condition_I(fam: FamilyPolynomial):
     Compares the t = 0 and generic specializations: polyhedron vertices,
     the full face set, the compact boundary, the essential non-compact
     faces, and the vanishing/non-vanishing split must all coincide.
-    Returns (verdict, exceptional_values, residual_factors).
+    Returns (verdict, exceptional_values, residual_factors, summaries):
+    summaries is the pair of Newton summaries compared (t = 0, generic),
+    or None when the support collapses at t = 0. Pass the whole result as
+    condition_I to check_condition_II and canonical_stratification.
     """
     values, residuals = exceptional_parameters(fam)
     generic = specialize(fam, GENERIC_SPECIALIZATION)
@@ -195,9 +201,10 @@ def check_condition_I(fam: FamilyPolynomial):
             Verdict.fails(METHOD_SYMBOLIC,
                           "the family vanishes identically at t = 0 but not "
                           "generically", witness),
-            values, residuals,
+            values, residuals, None,
         )
     summary_generic = _newton_summary(generic)
+    summaries = (summary_zero, summary_generic)
     differences = {}
     for key in ("vertices", "face_keys", "compact_keys", "essential_keys",
                 "split"):
@@ -217,27 +224,28 @@ def check_condition_I(fam: FamilyPolynomial):
                 witness,
                 trace={"differs": sorted(differences)},
             ),
-            values, residuals,
+            values, residuals, summaries,
         )
     evidence = ("Newton polyhedron, compact boundary, essential faces and "
                 "vanishing data agree between t = 0 and generic t")
-    return Verdict.holds(METHOD_SYMBOLIC, evidence), values, residuals
+    return (Verdict.holds(METHOD_SYMBOLIC, evidence), values, residuals,
+            summaries)
 
 
-def _specialization_verdict(g: ToricPolynomial, seed, budget):
-    """Non-degeneracy plus tameness for one specialization."""
-    np_ = newton_polyhedron(g)
-    split = vanishing_split(g)
-    nondeg = check_nondegeneracy(g, seed=seed, budget=budget, np=np_)
+def _specialization_verdict(summary, seed, budget):
+    """Non-degeneracy plus tameness for one specialization's summary."""
+    g = summary["polynomial"]
+    nondeg = check_nondegeneracy(g, seed=seed, budget=budget,
+                                 np=summary["polyhedron"])
     tame_overall, essential = check_all_tameness(
-        g, seed=seed, budget=budget, np=np_, split=split
+        g, seed=seed, budget=budget, essential=summary["essential"]
     )
     combined = combine_verdicts(
         [nondeg.overall, tame_overall],
         holds_evidence="non-degenerate and locally tame along the vanishing "
                        "varieties",
     )
-    return combined, nondeg, tame_overall, essential
+    return combined, nondeg, essential
 
 
 def _sample_values(fam, count=3):
@@ -256,41 +264,26 @@ def check_condition_II(fam: FamilyPolynomial, condition_I=None,
 
     The generic run works over the rational-function field; three exact
     parameter samples outside the exceptional set provide consistency spot
-    checks (and witnesses for generic failures). Returns
-    (verdict_zero, verdict_generic, details dict).
+    checks (and witnesses for generic failures). condition_I is the result
+    of check_condition_I; its Newton summaries are analysed, not rebuilt.
+    Returns (verdict_zero, verdict_generic, details dict).
     """
-    if condition_I is None:
-        condition_I, _, _ = check_condition_I(fam)
-    if condition_I.status != HOLDS:
-        raise ConditionIRequired(
-            "condition II needs the boundary to be constant in t"
-        )
-    details = {"anomalies": [], "essential_zero": [], "essential_generic": []}
-
-    zero = specialize(fam, ZERO_SPECIALIZATION)
-    v_zero, nondeg_zero, tame_zero, ess_zero = _specialization_verdict(
-        zero, seed, budget
-    )
-    details["essential_zero"] = ess_zero
-    details["nondeg_zero"] = nondeg_zero
-    details["tame_zero"] = tame_zero
-
-    generic = specialize(fam, GENERIC_SPECIALIZATION)
-    v_gen, nondeg_gen, tame_gen, ess_gen = _specialization_verdict(
-        generic, seed, budget
-    )
-    details["essential_generic"] = ess_gen
-    details["nondeg_generic"] = nondeg_gen
-    details["tame_generic"] = tame_gen
+    summary_zero, summary_generic = _require_condition_I(
+        fam, condition_I,
+        "condition II needs the boundary to be constant in t")
+    details = {"anomalies": []}
+    v_zero, details["nondeg_zero"], details["essential_zero"] = \
+        _specialization_verdict(summary_zero, seed, budget)
+    v_gen, details["nondeg_generic"], details["essential_generic"] = \
+        _specialization_verdict(summary_generic, seed, budget)
 
     samples = _sample_values(fam)
-    details["samples"] = samples
     # one analysis per sample; None marks a sample that lost its support
     sampled = []
     for t0 in samples:
         try:
-            v_sample, _, _, _ = _specialization_verdict(
-                specialize(fam, t0), seed, budget)
+            v_sample, _, _ = _specialization_verdict(
+                _newton_summary(specialize(fam, t0)), seed, budget)
         except (EmptySupport, EmptyInput):
             v_sample = None
         sampled.append(v_sample)
@@ -359,17 +352,25 @@ class Stratum:
         return f"Stratum({self.label()}, dim={self.dim})"
 
 
+def _require_condition_I(fam, condition_I, message):
+    """The (t = 0, generic) Newton summaries of a family whose condition I
+    holds; condition_I is check_condition_I's result, computed if None."""
+    if condition_I is None:
+        condition_I = check_condition_I(fam)
+    verdict, _, _, summaries = condition_I
+    if verdict.status != HOLDS:
+        raise ConditionIRequired(message)
+    return summaries
+
+
 def canonical_stratification(fam: FamilyPolynomial, condition_I=None):
     """Strata A_I, B_I over non-vanishing index sets and C_I over vanishing
-    ones; C over the empty set is the parameter axis."""
-    if condition_I is None:
-        condition_I, _, _ = check_condition_I(fam)
-    if condition_I.status != HOLDS:
-        raise ConditionIRequired(
-            "the stratification needs t-independent vanishing data"
-        )
-    zero = specialize(fam, ZERO_SPECIALIZATION)
-    nonvanishing, vanishing = vanishing_split(zero)
+    ones; C over the empty set is the parameter axis. condition_I is the
+    result of check_condition_I, computed if None."""
+    summary_zero, _ = _require_condition_I(
+        fam, condition_I,
+        "the stratification needs t-independent vanishing data")
+    nonvanishing, vanishing = summary_zero["split"]
     v = fam.variety
     strata = []
     for index_set in nonvanishing:
@@ -398,7 +399,7 @@ class AdmissibilityReport:
     def __init__(self, condition_I, condition_II_zero, condition_II_generic,
                  uniform_tameness, exceptional_values, residual_factors,
                  admissible, equisingular, stratification, anomalies,
-                 warnings, details=None):
+                 warnings):
         self.condition_I = condition_I
         self.condition_II_zero = condition_II_zero
         self.condition_II_generic = condition_II_generic
@@ -410,7 +411,6 @@ class AdmissibilityReport:
         self.stratification = list(stratification)
         self.anomalies = list(anomalies)
         self.warnings = list(warnings)
-        self.details = details or {}
 
 
 EQUISINGULARITY_LICENSE = (
@@ -431,7 +431,8 @@ def check_admissibility(fam: FamilyPolynomial, seed=DEFAULT_SEED,
     """
     warnings = list(fam.variety.warnings)
     anomalies = []
-    cond_I, exc_values, residuals = check_condition_I(fam)
+    condition_I = check_condition_I(fam)
+    cond_I, exc_values, residuals, _ = condition_I
     stratification = []
     uniform = "unknown"
     if cond_I.status != HOLDS:
@@ -443,17 +444,18 @@ def check_admissibility(fam: FamilyPolynomial, seed=DEFAULT_SEED,
         zero_v = generic_v = Verdict.unknown(
             METHOD_CAPPED, "not evaluated: condition I did not hold"
         )
-        details = {}
     else:
         zero_v, generic_v, details = check_condition_II(
-            fam, condition_I=cond_I, seed=seed, budget=budget
+            fam, condition_I=condition_I, seed=seed, budget=budget
         )
-        anomalies.extend(details.get("anomalies", []))
-        stratification = canonical_stratification(fam, condition_I=cond_I)
+        anomalies.extend(details["anomalies"])
+        for key in ("nondeg_zero", "nondeg_generic"):
+            warnings.extend(details[key].warnings)
+        stratification = canonical_stratification(fam,
+                                                  condition_I=condition_I)
         radii = [
             ef.tameness_radius
-            for ef in details.get("essential_zero", [])
-            + details.get("essential_generic", [])
+            for ef in details["essential_zero"] + details["essential_generic"]
         ]
         uniform = "infinite" if all(rad == "infinite" for rad in radii) \
             else "unknown"
@@ -492,10 +494,6 @@ def check_admissibility(fam: FamilyPolynomial, seed=DEFAULT_SEED,
             "equisingularity is only certified for admissible families "
             "(the criterion is sufficient, not necessary)",
         )
-    for key in ("nondeg_zero", "nondeg_generic"):
-        res = details.get(key) if cond_I.status == HOLDS else None
-        if res is not None:
-            warnings.extend(res.warnings)
     return AdmissibilityReport(
         condition_I=cond_I,
         condition_II_zero=zero_v,
@@ -508,7 +506,6 @@ def check_admissibility(fam: FamilyPolynomial, seed=DEFAULT_SEED,
         stratification=stratification,
         anomalies=anomalies,
         warnings=warnings,
-        details=details if cond_I.status == HOLDS else {},
     )
 
 

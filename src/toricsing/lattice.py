@@ -1,11 +1,13 @@
 """Exact rational cone geometry.
 
 Cones are given by primitive integer ray generators. Duality runs through a
-double description pass over exact rationals; face lattices are
-intersections of facet boundaries. Hilbert bases need integers only: the
-fundamental-parallelepiped points of each simplex of a triangulation come
-from one Smith normal form, and reduction compares facet values. The
-ambient dimension is capped at 4: anything larger raises.
+double description pass over exact rationals when a cone is built; the cone
+keeps the canonical descriptions of itself and of its dual, so its dual
+cone is built without another pass. Face lattices are intersections of
+facet boundaries. Hilbert bases need integers only: a triangulation comes
+from the face lattice, the fundamental-parallelepiped points of each of its
+simplices from one Smith normal form, and reduction compares facet values.
+The ambient dimension is capped at 4: anything larger raises.
 """
 from __future__ import annotations
 
@@ -205,19 +207,15 @@ class RationalCone:
     Construction canonicalizes: generators are replaced by the extreme rays
     of the cone they span (plus a canonical basis of the lineality space, in
     both signs, when the cone is not pointed), primitivized and sorted. Two
-    cones are equal exactly when their canonical data coincide.
+    cones are equal exactly when their canonical data coincide. The cone
+    keeps both canonical descriptions, (lineality basis, pointed rays) of
+    itself and of its dual, so its dual needs no further dualization.
     """
 
-    __slots__ = ("ambient_dim", "rays", "_lineality", "_dual")
+    __slots__ = ("ambient_dim", "rays", "_own", "_dual")
 
-    def __init__(self, ambient_dim, rays, _lineality=None, _trusted=False):
+    def __init__(self, ambient_dim, rays):
         _check_dim(ambient_dim)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "_dual", None)
-        if _trusted:
-            object.__setattr__(self, "rays", tuple(rays))
-            object.__setattr__(self, "_lineality", tuple(_lineality or ()))
-            return
         cleaned = []
         for r in rays:
             if len(r) != ambient_dim:
@@ -227,17 +225,17 @@ class RationalCone:
             p = primitive(r)
             if not is_zero_vec(p):
                 cleaned.append(p)
-        if not cleaned:
-            object.__setattr__(self, "rays", ())
-            object.__setattr__(self, "_lineality", ())
-            return
         # canonical form via double dualization
-        lin_d, rays_d = polar_description(cleaned, ambient_dim)
-        dual_gens = _generators(lin_d, rays_d)
-        lin_p, rays_p = polar_description(dual_gens, ambient_dim)
-        object.__setattr__(self, "rays", tuple(sorted(_generators(lin_p, rays_p))))
-        object.__setattr__(self, "_lineality", tuple(lin_p))
-        object.__setattr__(self, "_dual", (tuple(rays_d), dual_gens))
+        dual = polar_description(cleaned, ambient_dim)
+        own = polar_description(_generators(*dual), ambient_dim) \
+            if cleaned else ((), ())
+        self._describe(ambient_dim, own, dual)
+
+    def _describe(self, ambient_dim, own, dual):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "_own", (tuple(own[0]), tuple(own[1])))
+        object.__setattr__(self, "_dual", (tuple(dual[0]), tuple(dual[1])))
+        object.__setattr__(self, "rays", tuple(sorted(_generators(*own))))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalCone is immutable")
@@ -255,10 +253,10 @@ class RationalCone:
 
     @property
     def lineality_basis(self):
-        return self._lineality
+        return self._own[0]
 
     def is_strongly_convex(self) -> bool:
-        return not self._lineality
+        return not self._own[0]
 
     def dim(self) -> int:
         if not self.rays:
@@ -268,21 +266,13 @@ class RationalCone:
     def is_full_dimensional(self) -> bool:
         return self.dim() == self.ambient_dim
 
-    def _dual_description(self):
-        """(facet normals, dual generators), dualized once per cone."""
-        if self._dual is None:
-            lin_d, rays_d = polar_description(list(self.rays), self.ambient_dim)
-            dual = (tuple(rays_d), _generators(lin_d, rays_d))
-            object.__setattr__(self, "_dual", dual)
-        return self._dual
-
     def dual_generators(self):
         """Generators of the dual cone (facet normals plus dual lineality)."""
-        return self._dual_description()[1]
+        return _generators(*self._dual)
 
     def facet_normals(self):
         """The pointed part of the dual description (no lineality pairs)."""
-        return self._dual_description()[0]
+        return self._dual[1]
 
     # -- predicates ------------------------------------------------------
 
@@ -337,11 +327,15 @@ class ConeFace:
 # ---------------------------------------------------------------------------
 
 def dual_cone(cone: RationalCone) -> RationalCone:
-    """The cone of vectors pairing nonnegatively with every cone element."""
+    """The cone of vectors pairing nonnegatively with every cone element.
+
+    Both canonical descriptions are already known, so they swap roles.
+    """
     if not cone.rays:
         raise EmptyInput("dual_cone needs at least one generating ray")
-    gens = cone.dual_generators()
-    return RationalCone(cone.ambient_dim, gens)
+    dual = object.__new__(RationalCone)
+    dual._describe(cone.ambient_dim, cone._dual, cone._own)
+    return dual
 
 
 def face_lattice(cone: RationalCone):
@@ -470,31 +464,25 @@ def hilbert_basis(cone: RationalCone):
 
 
 def _triangulate(cone: RationalCone):
-    """Split a pointed cone into simplicial subcones (lists of rays)."""
-    rays = list(cone.rays)
+    """Split a pointed cone into simplicial subcones (lists of rays): each
+    face is coned from its first ray over its facets that avoid that ray,
+    the faces of the cone one dimension down that it contains."""
     d = cone.dim()
-    if len(rays) == d:
-        return [rays]
-    first = rays[0]
-    simplices = []
-    for facet in _proper_facets(cone):
-        if first in facet:
-            continue
-        sub = RationalCone(cone.ambient_dim, facet, _trusted=True)
-        for s in _triangulate(sub):
-            simplices.append(s + [first])
-    return simplices
+    if len(cone.rays) == d:
+        return [list(cone.rays)]
+    faces = face_lattice(cone)
 
+    def split(rays, d):
+        if len(rays) == d:
+            return [list(rays)]
+        first = rays[0]
+        return [s + [first]
+                for f in faces
+                if f.dim == d - 1 and first not in f.rays
+                and set(f.rays) <= set(rays)
+                for s in split(f.rays, d - 1)]
 
-def _proper_facets(cone: RationalCone):
-    """Ray sets of the codimension-one faces of a pointed cone."""
-    d = cone.dim()
-    out = []
-    for normal in cone.facet_normals():
-        rays = [r for r in cone.rays if dot(normal, r) == 0]
-        if rays and linalg.rank([list(r) for r in rays]) == d - 1:
-            out.append(sorted(rays))
-    return out
+    return split(cone.rays, d)
 
 
 def _parallelepiped_points(simplex_rays):

@@ -205,28 +205,17 @@ def smith_normal_form(a_rows):
         swap_cols(t, best[1])
         if s[t][t] < 0:
             negate_row(t)
-        # clear the pivot row and column
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if s[i][t] != 0:
-                    q = s[i][t] // s[t][t]
-                    add_row(i, t, -q)
-                    if s[i][t] != 0:
-                        swap_rows(t, i)
-                        if s[t][t] < 0:
-                            negate_row(t)
-                        dirty = True
-            for j in range(t + 1, n):
-                if s[t][j] != 0:
-                    q = s[t][j] // s[t][t]
-                    add_col(j, t, -q)
-                    if s[t][j] != 0:
-                        swap_cols(t, j)
-                        if s[t][t] < 0:
-                            negate_row(t)
-                        dirty = True
+        # reduce the pivot column and row once; a nonzero remainder is
+        # smaller than the pivot and becomes the next pivot (Euclid against
+        # one fixed pivot lets the entries of the block explode)
+        p = s[t][t]
+        for i in range(t + 1, m):
+            add_row(i, t, -(s[i][t] // p))
+        for j in range(t + 1, n):
+            add_col(j, t, -(s[t][j] // p))
+        if any(s[i][t] for i in range(t + 1, m)) or any(
+                s[t][j] for j in range(t + 1, n)):
+            continue
         # enforce divisibility of later entries by the pivot
         fixed = True
         for i in range(t + 1, m):

@@ -4,7 +4,8 @@ Grammar: + - * ^ with parentheses and unary minus; implicit multiplication
 is rejected; exponents are nonnegative integers. Atoms are integer or
 rational (p/q) literals, the imaginary unit i, the parameter t (families
 only), and variables z1..zr. Coefficients survive as exact Gaussian
-rationals; positions are tracked for error messages.
+rationals; positions are tracked for error messages. Parentheses nest at
+most MAX_NESTING deep.
 """
 from __future__ import annotations
 
@@ -24,6 +25,10 @@ from .polynomials import Poly
 from .rationals import GaussianRational
 from .variety import ToricVariety, build_variety
 
+# the parser recurses once per parenthesis level; this keeps every
+# accepted string far from the interpreter's recursion limit
+MAX_NESTING = 100
+
 
 class _Token:
     __slots__ = ("kind", "text", "line", "column")
@@ -38,7 +43,7 @@ class _Token:
 def _tokenize(text):
     tokens = []
     line, col = 1, 1
-    i = 0
+    i = depth = 0
     while i < len(text):
         ch = text[i]
         if ch == "\n":
@@ -51,6 +56,10 @@ def _tokenize(text):
             i += 1
             continue
         if ch in "+-*^()":
+            depth += {"(": 1, ")": -1}.get(ch, 0)
+            if depth > MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than "
+                                 f"{MAX_NESTING} levels", line, col)
             tokens.append(_Token(ch, ch, line, col))
             col += 1
             i += 1
@@ -320,6 +329,8 @@ def parse_problem(path) -> Problem:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc.msg}", exc.lineno, exc.colno)
+    except RecursionError:
+        raise ParseError("malformed JSON: nested too deeply")
     if not isinstance(data, dict):
         raise ParseError("the problem file must contain an object")
     variety_block = data.get("variety")

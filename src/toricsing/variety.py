@@ -16,6 +16,7 @@ from .errors import (
     InvalidIndexSet,
     NotMaximalDim,
     NotStronglyConvex,
+    ZeroTorusCoordinate,
 )
 from . import linalg
 from .lattice import RationalCone, dual_cone, face_lattice, hilbert_basis
@@ -34,7 +35,8 @@ class TorusPoint:
             if not isinstance(c, GaussianRational):
                 c = GaussianRational(c)
             if c.is_zero():
-                raise ValueError("torus points have nonzero coordinates")
+                raise ZeroTorusCoordinate(
+                    "torus points have nonzero coordinates")
             vals.append(c)
         if not vals:
             raise EmptyInput("a torus point needs at least one coordinate")

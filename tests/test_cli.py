@@ -272,6 +272,43 @@ def test_negative_budget_is_usage_error(tmp_path, capsys, options, flags):
     assert "budget" in captured.err and captured.err.count("\n") == 1
 
 
+def test_flat_4d_generators_are_a_usage_error(tmp_path, capsys):
+    # the dualizations of these three rays once made the Smith form run
+    # for minutes
+    payload = {"variety": {"generators": [[4, -3, -3, 3], [-4, -3, -3, 2],
+                                          [1, -3, 2, 4]]}}
+    assert cli(["dual", "--input", write_problem(tmp_path, payload)]) == 1
+    err = capsys.readouterr().err
+    assert "generators span a lower-dimensional cone" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("raw", [
+    json.dumps(dict(SURFACE, polynomial="(" * 3000 + "z1" + ")" * 3000)),
+    "[" * 100000 + "]" * 100000,
+], ids=["parentheses", "json"])
+def test_deep_nesting_is_a_usage_error(tmp_path, capsys, raw):
+    path = tmp_path / "deep.json"
+    path.write_text(raw, encoding="utf-8")
+    assert cli(["analyze", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+
+
+def test_parenthesis_depth_limit(surface_variety):
+    from toricsing.parser import MAX_NESTING
+
+    ok = "(" * MAX_NESTING + "z1" + ")" * MAX_NESTING
+    assert parse_polynomial(ok, surface_variety).terms == {
+        (1, 0, 0): GaussianRational(1)}
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial("z2+" + "(" * (MAX_NESTING + 1) + "z1"
+                         + ")" * (MAX_NESTING + 1), surface_variety)
+    assert (exc.value.line, exc.value.column) == (1, MAX_NESTING + 4)
+
+
 def test_reports_are_deterministic(tmp_path):
     payload = dict(SURFACE)
     payload["polynomial"] = "z1^4+z1^2*z2+z1*z2^2-z1*z2*z3^2"

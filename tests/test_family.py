@@ -1,6 +1,11 @@
+import sys
+from pathlib import Path
+
 import pytest
 
+from toricsing import checks, newton
 from toricsing.checks import FAILS, HOLDS, UNKNOWN
+from toricsing.cli import main
 from toricsing.errors import ConditionIRequired
 from toricsing.family import (
     FamilyPolynomial,
@@ -71,7 +76,7 @@ def test_exceptional_parameters():
 
 def test_condition_I_staircase_holds():
     fam = staircase_family(5, 3, 2)
-    verdict, values, _ = check_condition_I(fam)
+    verdict, values, _, _ = check_condition_I(fam)
     assert verdict.status == HOLDS
 
 
@@ -80,14 +85,14 @@ def test_condition_I_fails_when_boundary_moves(surface_variety):
         surface_variety,
         {(1, 0, 0): t_poly(1), (0, 0, 1): t_poly(0, 1)},
     )
-    verdict, _, _ = check_condition_I(fam)
+    verdict, _, _, _ = check_condition_I(fam)
     assert verdict.status == FAILS
     assert verdict.witness is not None and verdict.witness.replay()
 
 
 def test_condition_I_constant_family(quartic_vertical):
     fam = constant_family(quartic_vertical)
-    verdict, values, residuals = check_condition_I(fam)
+    verdict, values, residuals, _ = check_condition_I(fam)
     assert verdict.status == HOLDS
     assert not values and not residuals
 
@@ -134,7 +139,7 @@ def test_generic_failure_witness_is_sampled(surface_variety):
             (1, 0, 1): t_poly(1, 2, 1),
         },
     )
-    verdict, _, _ = check_condition_I(fam)
+    verdict, _, _, _ = check_condition_I(fam)
     assert verdict.status == HOLDS
     v_zero, v_gen, details = check_condition_II(fam)
     assert v_zero.status == FAILS
@@ -278,3 +283,39 @@ def test_strata_cover_index_sets_exactly_once():
     c_sets = sorted(s.index_set for s in strata if s.kind == "C")
     assert a_sets == b_sets == sorted(map(tuple, nv))
     assert c_sets == sorted(map(tuple, vv))
+
+
+def _count_calls(monkeypatch, functions):
+    """Wrap each function wherever a toricsing module binds it; returns the
+    per-name call counts."""
+    counts = {f.__name__: 0 for f in functions}
+    for f in functions:
+        def counted(*args, _f=f, **kwargs):
+            counts[_f.__name__] += 1
+            return _f(*args, **kwargs)
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "toricsing"
+                    and getattr(module, f.__name__, None) is f):
+                monkeypatch.setattr(module, f.__name__, counted)
+    return counts
+
+
+@pytest.mark.parametrize("command, specializations", [
+    ("family", 5),    # t = 0, generic and three samples
+    ("stratify", 2),  # t = 0 and generic, compared by condition I
+])
+def test_newton_data_built_once_per_specialization(
+        monkeypatch, tmp_path, command, specializations):
+    counts = _count_calls(monkeypatch, [
+        newton.newton_polyhedron, checks.vanishing_split,
+        checks.essential_noncompact_faces,
+    ])
+    problem = Path(__file__).parent.parent / "problems" / \
+        "staircase_family.json"
+    assert main([command, "--input", str(problem),
+                 "--report", str(tmp_path / "out")]) == 0
+    assert counts == {
+        "newton_polyhedron": specializations,
+        "vanishing_split": specializations,
+        "essential_noncompact_faces": specializations,
+    }

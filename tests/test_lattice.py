@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -292,7 +293,7 @@ def test_membership_oracle_agrees_with_dual_description():
 def test_facet_normals_match_a_fresh_dualization():
     # the dual description a cone keeps from its construction equals a
     # dualization of its canonical rays, for pointed, lower-dimensional,
-    # non-pointed and trusted cones
+    # non-pointed cones and for cones built by dual_cone
     rng = random.Random(59)
     lower = lines = 0
     for _ in range(120):
@@ -310,9 +311,9 @@ def test_facet_normals_match_a_fresh_dualization():
         lower += cone.dim() < n
         lines += not cone.is_strongly_convex()
         lin, pointed = lattice.polar_description(list(cone.rays), n)
-        trusted = RationalCone(n, cone.rays, cone.lineality_basis,
-                               _trusted=True)
-        for c in (cone, trusted):
+        # the dual of the whole space is {0}, which dual_cone rejects
+        again = dual_cone(dual_cone(cone)) if pointed or lin else cone
+        for c in (cone, again):
             assert c.facet_normals() == tuple(pointed)
             assert set(c.dual_generators()) == set(pointed) | set(lin) | {
                 tuple(-x for x in v) for v in lin}
@@ -334,6 +335,43 @@ def test_polar_description_runs_one_smith_form(monkeypatch):
     assert len(calls) == 1
     assert lin == [(0, 0, 1)]
     assert pointed == [(0, 1, 0)]
+
+
+def test_dual_cone_runs_no_dualization(monkeypatch):
+    cones = [SIGMA_2D, SIGMA_3D, RationalCone.from_rays([(1, 0), (-1, 0)]),
+             RationalCone.from_rays([(1, 0, 0), (0, 1, 0)], 3)]
+    calls = []
+    polar = lattice.polar_description
+
+    def counted(generators, n):
+        calls.append(n)
+        return polar(generators, n)
+
+    monkeypatch.setattr(lattice, "polar_description", counted)
+    for cone in cones:
+        dual = dual_cone(cone)
+        assert dual_cone(dual) == cone
+    assert not calls
+    monkeypatch.undo()
+    # the swapped descriptions are those a fresh construction finds
+    for cone in cones:
+        dual = dual_cone(cone)
+        fresh = RationalCone(cone.ambient_dim, cone.dual_generators())
+        assert dual == fresh
+        assert dual.lineality_basis == fresh.lineality_basis
+        assert dual.facet_normals() == fresh.facet_normals()
+        assert set(dual.dual_generators()) == set(fresh.dual_generators())
+
+
+def test_smith_form_of_a_flat_4d_cone_finishes():
+    # three rays in R^4 whose second dualization once grew Smith-form
+    # entries to thousands of digits
+    rays = [(4, -3, -3, 3), (-4, -3, -3, 2), (1, -3, 2, 4)]
+    cone = RationalCone.from_rays(rays, 4)
+    assert sorted(cone.rays) == sorted(rays)
+    assert cone.dim() == 3 and cone.is_strongly_convex()
+    assert all(linalg.dot(f, r) >= 0
+               for f in cone.dual_generators() for r in rays)
 
 
 # ---- the integer Hilbert-basis core against Fraction references ------------
@@ -441,3 +479,54 @@ def test_hilbert_basis_of_the_large_baseline_cones():
     assert spatial[-3:] == [(113, 1, -4), (143, 0, -5), (200, 0, -7)]
     assert hashlib.sha256(repr(spatial).encode()).hexdigest().startswith(
         "797f270e4936d612")
+
+
+def _brute_force_hilbert_basis(cone):
+    """Reference for a full-dimensional pointed 3-D cone: its lattice points
+    up to a degree no basis element reaches, each kept when no kept point
+    of lower degree can be split off it."""
+    dot = linalg.dot
+    facets = cone.facet_normals()
+    ell = [sum(f[i] for f in facets) for i in range(3)]  # the degree
+    # a basis element is a ray or lies in the half-open parallelepiped of
+    # three rays, so its degree is below the three largest ray degrees
+    top = sum(sorted(dot(ell, r) for r in cone.rays)[-3:])
+    box = [max(-(-top * abs(r[j]) // dot(ell, r)) for r in cone.rays)
+           for j in range(3)]
+    # the points x with <g, x> + h >= 0 for every row: in the cone, below top
+    rows = [(f, 0) for f in facets] + [([-x for x in ell], top - 1)]
+    points = []
+    for a, b in itertools.product(range(-box[0], box[0] + 1),
+                                  range(-box[1], box[1] + 1)):
+        lo, hi = -box[2], box[2]
+        for g, h in rows:
+            rest = g[0] * a + g[1] * b + h  # the row needs g[2] c >= -rest
+            if g[2] > 0:
+                lo = max(lo, -(rest // g[2]))
+            elif g[2] < 0:
+                hi = min(hi, rest // -g[2])
+            elif rest < 0:
+                hi = lo - 1
+        points += [(a, b, c) for c in range(lo, hi + 1)
+                   if (a, b, c) != (0, 0, 0)]
+    values = {x: [dot(f, x) for f in facets] for x in points}
+    basis = []
+    for x in sorted(points, key=lambda x: sum(values[x])):
+        if not any(all(map(operator.ge, values[x], values[h])) for h in basis):
+            basis.append(x)
+    return sorted(basis)
+
+
+def test_hilbert_basis_of_non_simplicial_3d_cones():
+    # only non-simplicial cones are triangulated over their face lattice
+    rng = random.Random(97)
+    cones = 0
+    while cones < 200:
+        rays = [tuple(rng.randint(-2, 2) for _ in range(3))
+                for _ in range(rng.randint(4, 6))]
+        cone = RationalCone.from_rays(rays, 3)
+        if (not cone.is_strongly_convex() or not cone.is_full_dimensional()
+                or len(cone.rays) < 4):
+            continue
+        assert hilbert_basis(cone) == _brute_force_hilbert_basis(cone), cone
+        cones += 1

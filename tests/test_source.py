@@ -22,12 +22,13 @@ def test_no_assert_guards_an_invariant():
 
 
 def test_cone_layer_raises_only_toric_errors():
-    # every failure of the cone layer reaches callers and the CLI as a
-    # ToricError; the one exception is the AttributeError that __setattr__
-    # of an immutable class must raise to keep the attribute protocol
+    # every failure of the library reaches callers and the CLI as a
+    # ToricError; the exceptions are the AttributeError that __setattr__
+    # of an immutable class must raise to keep the attribute protocol, and
+    # the arithmetic errors of the number types in rationals and polynomials
     found = []
     for path in SOURCES:
-        if path.name not in ("lattice.py", "linalg.py"):
+        if path.name in ("rationals.py", "polynomials.py"):
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         in_setattr = {id(node) for func in ast.walk(tree)
