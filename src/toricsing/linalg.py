@@ -3,10 +3,12 @@
 Matrices are lists of rows. All elimination goes through one field-generic
 Gauss–Jordan core, ``_row_reduce``: rank, lattice coordinates and inverses
 run it on Fractions, and ``solve_field_system`` runs it on Gaussian rationals
-or rational functions. Integer lattice work (Smith normal form, kernels,
+or rational functions. Integer lattice work (Smith normal form,
 saturations) and the simplex membership oracle are separate algorithms.
-Sizes are tiny (ambient dimension is capped at 4), so the implementations
-favour clarity and exactness over asymptotics.
+``_power_product`` evaluates a character v^e, the one power loop behind
+torus solves, witness checks and torus points. Sizes are tiny (ambient
+dimension is capped at 4), so the implementations favour clarity and
+exactness over asymptotics.
 """
 from __future__ import annotations
 
@@ -59,6 +61,16 @@ def scale_vec(c, v):
 
 def is_zero_vec(v):
     return all(x == 0 for x in v)
+
+
+def _power_product(start, values, exponent):
+    """start * prod values_i^exponent_i over any exact field, for integer
+    exponents (negatives allowed); zero exponents cost nothing. start may
+    be the int 1 when the exponent is nonzero."""
+    for v, e in zip(values, exponent):
+        if e:
+            start = start * (v ** int(e))
+    return start
 
 
 # ---------------------------------------------------------------------------
@@ -229,21 +241,6 @@ def smith_normal_form(a_rows):
         if fixed:
             t += 1
     return [tuple(r) for r in u], [tuple(r) for r in s], [tuple(r) for r in v]
-
-
-def left_kernel_basis(a_rows):
-    """Basis of {x integer row : x A = 0}; the lattice is saturated."""
-    m = len(a_rows)
-    if m == 0:
-        return []
-    u, s, _ = smith_normal_form(a_rows)
-    n = len(a_rows[0])
-    out = []
-    for i in range(m):
-        diag = s[i][i] if i < min(m, n) else 0
-        if diag == 0:
-            out.append(tuple(u[i]))
-    return out
 
 
 def saturation_basis(vectors):

@@ -161,7 +161,6 @@ class _Parser:
         self.pos = 0
         self.r = r
         self.allow_parameter = allow_parameter
-        self.uses_parameter = False
 
     def peek(self):
         return self.tokens[self.pos]
@@ -251,7 +250,6 @@ class _Parser:
                     "the parameter t is only allowed in families",
                     tok.line, tok.column,
                 )
-            self.uses_parameter = True
             return _TermValue.parameter(self.r)
         if name.startswith("z") and name[1:].isdigit():
             index = int(name[1:])

@@ -3,11 +3,16 @@
 Shapes handled exactly:
   * single-monomial equations (never vanish on a torus);
   * supports of affine dimension one, via univariate gcd/square-free algebra;
-  * binomial equation systems, via character-lattice consistency;
+  * binomial equation systems, which are character-lattice systems
+    zeta^gamma = v as they stand;
   * two-dimensional supports with at most four terms, via torus
-    linearization (the monomial values solve a nonsingular linear system
-    and must satisfy the multiplicative relations among the exponents);
+    linearization: the monomial values solve a nonsingular linear system,
+    which leaves a character-lattice system in the two plane coordinates;
   * single equations with several terms, via one-parameter substitution.
+
+Both character-lattice shapes end in one solve, ``solve_monomial_system``:
+one Smith normal form decides consistency over Q(i) or Q(i)(t) before any
+root is taken, and over Q(i) then extracts the roots.
 
 Everything else falls back to a seeded randomized search whose candidates
 are certified by exact substitution; with no certified candidate the
@@ -77,11 +82,7 @@ class PointWitness:
         for terms in equations:
             total = GaussianRational(0)
             for exp, coeff in terms.items():
-                term = coeff
-                for v, e in zip(self.values, exp):
-                    if e:
-                        term = term * (v ** int(e))
-                total = total + term
+                total = total + linalg._power_product(coeff, self.values, exp)
             if not total.is_zero():
                 return False
         return True
@@ -291,7 +292,7 @@ def squarefree_part(p: Poly) -> Poly:
     return p.divmod(g)[0].monic()
 
 
-def gaussian_roots(p: Poly, limit=None):
+def gaussian_roots(p: Poly):
     """Some roots of p in Q(i); complete when the square-free part has
     degree at most two, best-effort beyond."""
     if p.degree() <= 0:
@@ -320,54 +321,39 @@ def gaussian_roots(p: Poly, limit=None):
             two_a = GaussianRational(2) * c2
             roots.append((GaussianRational(0) - c1 + s) / two_a)
             roots.append((GaussianRational(0) - c1 - s) / two_a)
-    elif work.degree() > 2:
-        for cand in _SEARCH_POOL:
-            if work.evaluate(cand).is_zero():
-                roots.append(cand)
     return roots
 
 
 def solve_monomial_system(gammas, values):
-    """Solve zeta^{gamma_i} = v_i on the torus.
+    """Solve zeta^{gamma_i} = v_i on the torus, over the field of the v_i.
 
-    Returns ("inconsistent", None) when no complex solution exists,
-    ("solved", assignments) with Gaussian-rational coordinates when a
-    witness was constructed, or ("stuck", None) when solutions exist but
-    the required roots are not Gaussian rational.
+    One Smith normal form U*G*V = S decides consistency: each zero
+    invariant factor gives a relation prod_i v_i^{U_mi} = 1, and every
+    relation is checked before any root is taken. Returns
+    ("inconsistent", None) when a relation fails, so no complex solution
+    exists. Otherwise, over Q(i), returns ("solved", assignment) with
+    Gaussian-rational coordinates, or ("stuck", None) when the required
+    roots are not Gaussian rational; over Q(i)(t) a consistent system is
+    ("stuck", None), since no witness is built there.
     """
-    k = len(gammas)
     n = len(gammas[0])
     u, s, v = linalg.smith_normal_form([list(g) for g in gammas])
-    # transformed right-hand sides: v'_m = prod v_i^{U_mi}
-    primed = []
-    for m_row in range(k):
-        acc = GaussianRational(1)
-        for i in range(k):
-            e = u[m_row][i]
-            if e:
-                acc = acc * (values[i] ** int(e))
-        primed.append(acc)
+    diag = [s[m][m] if m < n else 0 for m in range(len(gammas))]
+    if any(linalg._power_product(1, values, u[m]) != 1
+           for m, d in enumerate(diag) if d == 0):
+        return "inconsistent", None
+    if not isinstance(values[0], GaussianRational):
+        return "stuck", None
+    # eta_m^{d_m} = prod_i v_i^{U_mi}, then zeta_j = prod_k eta_k^{V_jk}
     eta = [GaussianRational(1)] * n
-    for m_row in range(k):
-        diag = s[m_row][m_row] if m_row < min(k, n) else 0
-        if diag == 0:
-            if primed[m_row] != GaussianRational(1):
-                return "inconsistent", None
-        else:
-            root = gaussian_nth_root(primed[m_row], diag)
+    for m, d in enumerate(diag):
+        if d:
+            root = gaussian_nth_root(
+                linalg._power_product(1, values, u[m]), d)
             if root is None:
                 return "stuck", None
-            eta[m_row] = root
-    # zeta_j = prod_k eta_k^{V_jk}
-    out = []
-    for j in range(n):
-        acc = GaussianRational(1)
-        for kk in range(n):
-            e = v[j][kk]
-            if e:
-                acc = acc * (eta[kk] ** int(e))
-        out.append(acc)
-    return "solved", tuple(out)
+            eta[m] = root
+    return "solved", tuple(linalg._power_product(1, eta, row) for row in v)
 
 
 # ---------------------------------------------------------------------------
@@ -545,15 +531,14 @@ def _decide_planar(terms, supp, d_value, equations, seed, face_key, budget):
                               "on the torus")
     if k == 4:
         return _decide_planar_quadrinomial(
-            reduced, exps, terms, completion, w_inv, equations,
+            reduced, exps, terms, w_inv, equations,
             zero, one, seed, face_key, budget, n)
     return _fallback(equations, n, seed, face_key, budget,
                      note=f"planar face with {k} terms exceeds the subclass")
 
 
-def _decide_planar_quadrinomial(reduced, exps, terms, completion, w_inv,
-                                equations, zero, one,
-                                seed, face_key, budget, n):
+def _decide_planar_quadrinomial(reduced, exps, terms, w_inv, equations,
+                                zero, one, seed, face_key, budget, n):
     """Four-term planar face: linearize in the three non-base monomials."""
     base_exp = (0, 0)
     if base_exp not in exps:
@@ -580,46 +565,23 @@ def _decide_planar_quadrinomial(reduced, exps, terms, completion, w_inv,
     if any(m.is_zero() for m in ms):
         return Outcome(EMPTY, method="planar-quadrinomial",
                        detail="forced monomial value vanishes")
-    for kappa in linalg.left_kernel_basis([list(r) for r in rel]):
-        if not _relation_holds(ms, cs, kappa, one):
-            return Outcome(EMPTY, method="planar-quadrinomial",
-                           detail="multiplicative relation fails")
+    # the term c_j u^{rel_j} takes the value m_j, so u^{rel_j} = m_j / c_j
+    status, assignment = solve_monomial_system(
+        rel, [m / c for m, c in zip(ms, cs)])
+    if status == "inconsistent":
+        return Outcome(EMPTY, method="planar-quadrinomial",
+                       detail="multiplicative relation fails")
     if not is_exact(terms):
         return Outcome(SOLVABLE, method="planar-quadrinomial",
                        detail="monomial values realizable; witness via "
                               "specialization")
-    return _witness_from_monomial_values(
-        rel, [m / c for m, c in zip(ms, cs)], completion, w_inv,
-        equations, n, seed, face_key, budget)
-
-
-def _relation_holds(ms, cs, kappa, one):
-    acc = one
-    for m, c, e in zip(ms, cs, kappa):
-        if e:
-            acc = acc * ((m / c) ** int(e))
-    return acc == one
-
-
-def _witness_from_monomial_values(rel, values, completion, w_inv,
-                                  equations, n, seed, face_key, budget):
-    """Solve u^{rel_j} = values_j in (C*)^2 and map back to the torus."""
-    status, assignment = solve_monomial_system(rel, list(values))
-    if status == "inconsistent":
-        return Outcome(EMPTY, method="planar-quadrinomial",
-                       detail="monomial system inconsistent")
     if status == "solved":
+        # map the plane coordinates u back to the torus
         u_full = list(assignment) + [GaussianRational(1)] * (n - 2)
         names = tuple(f"v{i+1}" for i in range(n))
-        values_xi = []
-        for j in range(n):
-            acc = GaussianRational(1)
-            for kk in range(n):
-                e = w_inv[j][kk]
-                if e:
-                    acc = acc * (u_full[kk] ** int(e))
-            values_xi.append(acc)
-        w = PointWitness(names, values_xi)
+        w = PointWitness(names, [
+            linalg._power_product(GaussianRational(1), u_full, row)
+            for row in w_inv])
         if w.verify(equations):
             return Outcome(SOLVABLE, witness=w, method="planar-quadrinomial",
                            detail="witness from monomial-value solve")
@@ -671,25 +633,16 @@ def _decide_binomial_system(eqs, n_vars, names, seed, face_key, budget):
         v = (cb / ca) * (-1)
         gammas.append(tuple(gamma))
         values.append(v)
-    if not is_exact(eqs[0]):
-        # consistency is a rational-function identity; decide it exactly
-        kernel = linalg.left_kernel_basis([list(g) for g in gammas])
-        for kappa in kernel:
-            acc = None
-            for val, e in zip(values, kappa):
-                p = val ** int(e) if e else None
-                if p is not None:
-                    acc = p if acc is None else acc * p
-            if acc is not None and not (acc - (acc / acc)).is_zero():
-                return Outcome(EMPTY, method="binomial-system",
-                               detail="character relation fails")
-        return Outcome(SOLVABLE, method="binomial-system",
-                       detail="character relations hold; witness via "
-                              "specialization")
+    exact = is_exact(eqs[0])
     status, assignment = solve_monomial_system(gammas, values)
     if status == "inconsistent":
         return Outcome(EMPTY, method="binomial-system",
-                       detail="character relation fails on the torus")
+                       detail="character relation fails on the torus"
+                       if exact else "character relation fails")
+    if not exact:
+        return Outcome(SOLVABLE, method="binomial-system",
+                       detail="character relations hold; witness via "
+                              "specialization")
     if status == "solved":
         w = PointWitness(names, assignment)
         if w.verify(eqs):

@@ -56,11 +56,8 @@ class TorusPoint:
 
     def monomial(self, exponent) -> GaussianRational:
         """Evaluate coords^exponent (integer exponents, negatives allowed)."""
-        out = GaussianRational(1)
-        for c, e in zip(self.coords, exponent):
-            if e:
-                out = out * (c ** int(e))
-        return out
+        return linalg._power_product(GaussianRational(1), self.coords,
+                                     exponent)
 
     def __repr__(self):
         return f"TorusPoint({[str(c) for c in self.coords]})"

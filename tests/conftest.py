@@ -11,15 +11,12 @@ def gr(x, y=0):
     return GaussianRational(x, y)
 
 
-def sympy_gradient_torus_solvable(terms, n):
-    """Independent oracle: does the Euler-gradient system of the lattice
-    form have a torus zero? Decided by a Groebner basis saturated at the
-    coordinate product."""
+def _sympy_form(terms, xs):
+    """A term map with Gaussian-rational coefficients as a sympy
+    expression in xs."""
     import sympy
 
-    xs = sympy.symbols(f"x1:{n + 1}")
-    y = sympy.Symbol("y")
-    L = sympy.Integer(0)
+    form = sympy.Integer(0)
     for lam, coeff in terms.items():
         mono = sympy.Integer(1)
         for xi, e in zip(xs, lam):
@@ -27,15 +24,46 @@ def sympy_gradient_torus_solvable(terms, n):
         c = (sympy.Rational(coeff.re.numerator, coeff.re.denominator)
              + sympy.I * sympy.Rational(coeff.im.numerator,
                                         coeff.im.denominator))
-        L += c * mono
+        form += c * mono
+    return form
+
+
+def _sympy_torus_nonempty(eqs, xs):
+    """Whether the polynomials eqs have a common zero with every xs
+    coordinate nonzero: a Groebner basis saturated at the coordinate
+    product."""
+    import sympy
+
+    y = sympy.Symbol("y")
+    sat = 1 - y * sympy.prod(xs)
+    gb = sympy.groebner(eqs + [sat], *xs, y, order="grevlex")
+    return list(gb.exprs) != [sympy.Integer(1)]
+
+
+def sympy_gradient_torus_solvable(terms, n):
+    """Independent oracle: does the Euler-gradient system of the lattice
+    form have a torus zero? Decided by a Groebner basis saturated at the
+    coordinate product."""
+    import sympy
+
+    xs = sympy.symbols(f"x1:{n + 1}")
+    L = _sympy_form(terms, xs)
     eqs = []
     for xi in xs:
         d = sympy.expand(xi * sympy.diff(L, xi))
         if d != 0:
             eqs.append(d)
-    sat = 1 - y * sympy.prod(xs)
-    gb = sympy.groebner(eqs + [sat], *xs, y, order="grevlex")
-    return list(gb.exprs) != [sympy.Integer(1)]
+    return _sympy_torus_nonempty(eqs, xs)
+
+
+def sympy_torus_solvable(equations, n):
+    """Independent oracle: do the term maps (nonnegative exponents) have a
+    common zero on the torus (C*)^n? Decided like the gradient oracle."""
+    import sympy
+
+    xs = sympy.symbols(f"x1:{n + 1}")
+    return _sympy_torus_nonempty([_sympy_form(e, xs) for e in equations],
+                                 xs)
 
 
 def random_polynomial(rng, variety, max_terms=4, max_exp=3,

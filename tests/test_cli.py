@@ -185,6 +185,22 @@ def test_tame_command_fails_on_untame_c3(tmp_path, capsys):
     assert rebuilt.replay()
 
 
+def test_tame_command_decides_inconsistent_binomial_face(tmp_path, capsys):
+    # the face {(1,3,0), (3,1,0)} along direction {3} gives z1^2 = 2 z2^2
+    # and z1^2 = 18 z2^2: irrational roots, but no torus point at all
+    payload = {
+        "variety": {"generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+        "polynomial": "z1^3*z2-6*z1*z2^3",
+    }
+    path = write_problem(tmp_path, payload)
+    code = cli(["tame", "--input", path])
+    assert code == 0
+    text = capsys.readouterr().out
+    assert ("tameness: HOLDS [SymbolicCriterion] character relation fails "
+            "on the torus") in text
+    assert "local tameness: HOLDS" in text
+
+
 def test_family_command_staircase(tmp_path, capsys):
     payload = {
         "variety": {"generators": [[1, 0], [1, 1], [1, 2], [1, 3], [1, 4],

@@ -48,10 +48,6 @@ def test_kernels_annihilate():
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
         a = random_matrix(rng, m, n)
-        for x in linalg.left_kernel_basis(a):
-            assert all(
-                sum(x[i] * a[i][j] for i in range(m)) == 0 for j in range(n)
-            )
         _, _, kernel = linalg.saturation_basis(a)
         assert len(kernel) == n - linalg.rank(a)
         for x in kernel:

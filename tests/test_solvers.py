@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import random
 
 import pytest
@@ -243,3 +244,63 @@ def test_outcome_is_immutable():
     out = Outcome(EMPTY, method="monomial-face")
     with pytest.raises(AttributeError):
         out.status = SOLVABLE
+
+
+def test_binomial_systems_agree_with_elimination_oracle():
+    # seeded systems x^a = r x^b: empty exactly when there is no torus
+    # point, and a solvable or unknown outcome only when there is one
+    pytest.importorskip("sympy")
+    from conftest import sympy_torus_solvable
+
+    rng = random.Random(401)
+    ratios = [gr(1), gr(-1), gr(2), gr(-2), gr(3), gr(-3), gr(5), gr(6),
+              gr(0, 1)]
+    empties = 0
+    for _ in range(320):
+        n = rng.randint(1, 3)
+        exps = list(itertools.product(range(4), repeat=n))
+        eqs = []
+        for _ in range(rng.randint(2, 3)):
+            a, b = rng.sample(exps, 2)
+            eqs.append({a: gr(1), b: gr(0) - rng.choice(ratios)})
+        out = decide_equation_system(eqs, n, budget=20)
+        assert (out.status == EMPTY) == (
+            not sympy_torus_solvable(eqs, n)), (eqs, out.detail)
+        if out.witness is not None:
+            assert out.witness.verify(eqs)
+        empties += out.status == EMPTY
+    assert empties >= 20
+
+
+def test_rational_function_binomial_systems():
+    # x^2 = t and x^2 = t + 1 have no common torus point for generic t
+    inconsistent = [{(2,): t_coeff(1), (0,): t_coeff(0, -1)},
+                    {(2,): t_coeff(1), (0,): t_coeff(-1, -1)}]
+    out = decide_equation_system(inconsistent, 1)
+    assert (out.status, out.method, out.detail) == (
+        EMPTY, "binomial-system", "character relation fails")
+    # x^2 = t and y = t + 1
+    consistent = [{(2, 0): t_coeff(1), (0, 0): t_coeff(0, -1)},
+                  {(0, 1): t_coeff(1), (0, 0): t_coeff(-1, -1)}]
+    out = decide_equation_system(consistent, 2)
+    assert (out.status, out.method, out.detail) == (
+        SOLVABLE, "binomial-system",
+        "character relations hold; witness via specialization")
+    assert out.witness is None
+
+
+def test_rational_function_planar_quadrinomials():
+    # x^3 + y^3 + z^3 + c xyz is singular on the torus iff c^3 = -27
+    regular = {(3, 0, 0): t_coeff(1), (0, 3, 0): t_coeff(1),
+               (0, 0, 3): t_coeff(1), (1, 1, 1): t_coeff(0, 1)}
+    out = decide_gradient(regular, 3, 3)
+    assert (out.status, out.method, out.detail) == (
+        EMPTY, "planar-quadrinomial", "multiplicative relation fails")
+    # y -> t y in the singular member: c = -3t against t^3 y^3
+    singular = {(3, 0, 0): t_coeff(1), (0, 3, 0): t_coeff(0, 0, 0, 1),
+                (0, 0, 3): t_coeff(1), (1, 1, 1): t_coeff(0, -3)}
+    out = decide_gradient(singular, 3, 3)
+    assert (out.status, out.method, out.detail) == (
+        SOLVABLE, "planar-quadrinomial",
+        "monomial values realizable; witness via specialization")
+    assert out.witness is None

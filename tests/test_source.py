@@ -47,3 +47,30 @@ def test_cone_layer_raises_only_toric_errors():
                 continue
             found.append(f"{path.name}:{node.lineno} {ast.unparse(exc)}")
     assert not found, found
+
+
+def test_every_private_function_is_used():
+    # a private function or method that nothing else in src/ names is
+    # dead code; references inside its own body (recursion) do not count
+    trees = [ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in SOURCES]
+    names = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.append((node.id, node))
+            elif isinstance(node, ast.Attribute):
+                names.append((node.attr, node))
+    unused = []
+    for path, tree in zip(SOURCES, trees):
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = func.name
+            if not name.startswith("_") or name.endswith("__"):
+                continue
+            inside = {id(node) for node in ast.walk(func)}
+            if not any(n == name and id(node) not in inside
+                       for n, node in names):
+                unused.append(f"{path.name}:{func.lineno} {name}")
+    assert SOURCES and not unused, unused
