@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Commands: dual, hilbert, faces, nondeg, tame, analyze, family, stratify.
-Exit codes: 0 holds/success, 1 usage or parse error, 2 fails (witness in
-the report), 3 unknown. Identical inputs and seed give byte-identical
-structured reports.
+Exit codes: 0 holds/success, 1 input error, 2 fails (witness in
+the report), 3 unknown, 4 internal error. Identical inputs and seed give
+byte-identical structured reports.
 """
 from __future__ import annotations
 
@@ -204,13 +204,17 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         code, out = run(args.command, args)
+        if args.format == "structured":
+            rendered = report_mod.render_json(out)
+        else:
+            rendered = report_mod.render_text(out)
     except ToricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.format == "structured":
-        rendered = report_mod.render_json(out)
-    else:
-        rendered = report_mod.render_text(out)
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 4
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(rendered)

@@ -248,24 +248,17 @@ def _specialization_verdict(summary, seed, budget):
     return combined, nondeg, essential
 
 
-def _sample_values(fam, count=3):
-    out = []
-    for cand in _SAMPLE_POOL:
-        if not is_exceptional(fam, cand):
-            out.append(cand)
-        if len(out) == count:
-            break
-    return out
-
-
 def check_condition_II(fam: FamilyPolynomial, condition_I=None,
                        seed=DEFAULT_SEED, budget=DEFAULT_BUDGET):
     """Non-degeneracy and tameness at t = 0 and at generic t.
 
-    The generic run works over the rational-function field; three exact
-    parameter samples outside the exceptional set provide consistency spot
-    checks (and witnesses for generic failures). condition_I is the result
-    of check_condition_I; its Newton summaries are analysed, not rebuilt.
+    The generic run works over the rational-function field. Only a generic
+    failure without a witness analyses exact samples: the first three
+    non-exceptional values of _SAMPLE_POOL, in order, until one fails with
+    a witness, which then witnesses the generic failure. A sample that
+    loses its support, and a failure no sample reproduces, are reported
+    in details["anomalies"]. condition_I is the result of
+    check_condition_I; its Newton summaries are analysed, not rebuilt.
     Returns (verdict_zero, verdict_generic, details dict).
     """
     summary_zero, summary_generic = _require_condition_I(
@@ -276,41 +269,26 @@ def check_condition_II(fam: FamilyPolynomial, condition_I=None,
         _specialization_verdict(summary_zero, seed, budget)
     v_gen, details["nondeg_generic"], details["essential_generic"] = \
         _specialization_verdict(summary_generic, seed, budget)
+    if v_gen.status == FAILS and v_gen.witness is None:
+        v_gen = _witness_from_samples(fam, v_gen, seed, budget,
+                                      details["anomalies"])
+    return v_zero, v_gen, details
 
-    samples = _sample_values(fam)
-    # one analysis per sample; None marks a sample that lost its support
-    sampled = []
+
+def _witness_from_samples(fam, verdict, seed, budget, anomalies):
+    """Replace a pending generic witness by one from an exact sample."""
+    samples = [t0 for t0 in _SAMPLE_POOL if not is_exceptional(fam, t0)][:3]
+    lost = []
     for t0 in samples:
         try:
             v_sample, _, _ = _specialization_verdict(
                 _newton_summary(specialize(fam, t0)), seed, budget)
         except (EmptySupport, EmptyInput):
-            v_sample = None
-        sampled.append(v_sample)
-    if v_gen.status == FAILS and v_gen.witness is None:
-        v_gen = _witness_from_samples(v_gen, samples, sampled, details)
-    for t0, v_sample in zip(samples, sampled):
-        if v_sample is None:
-            details["anomalies"].append(
-                f"sample t = {t0} lost support although not exceptional"
-            )
+            lost.append(f"sample t = {t0} lost support although not "
+                        "exceptional")
             continue
-        if v_gen.status == HOLDS and v_sample.status == FAILS:
-            details["anomalies"].append(
-                f"generic verdict holds but the sample t = {t0} fails"
-            )
-        if v_gen.status == FAILS and v_sample.status == HOLDS:
-            details["anomalies"].append(
-                f"generic verdict fails but the sample t = {t0} holds"
-            )
-    return v_zero, v_gen, details
-
-
-def _witness_from_samples(verdict, samples, sampled, details):
-    """Replace a pending generic witness by one from an exact sample."""
-    for t0, v_sample in zip(samples, sampled):
-        if (v_sample is not None and v_sample.status == FAILS
-                and v_sample.witness is not None):
+        if v_sample.status == FAILS and v_sample.witness is not None:
+            anomalies.extend(lost)
             trace = dict(verdict.trace)
             trace["witness_sampled_at"] = str(t0)
             return Verdict.fails(
@@ -319,9 +297,10 @@ def _witness_from_samples(verdict, samples, sampled, details):
                 v_sample.witness,
                 trace=trace,
             )
-    details["anomalies"].append(
+    anomalies.append(
         "generic failure could not be reproduced at the sampled parameters"
     )
+    anomalies.extend(lost)
     return verdict
 
 

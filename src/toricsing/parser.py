@@ -145,14 +145,18 @@ class _TermValue:
         return _TermValue(self.r, out)
 
     def __pow__(self, e):
-        result = _TermValue.constant(self.r, GaussianRational(1))
+        if not e:
+            return _TermValue.constant(self.r, GaussianRational(1))
+        # square-and-multiply with no squaring after the top bit
+        result = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
 
 class _Parser:

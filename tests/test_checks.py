@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from toricsing.checks import (
@@ -5,6 +10,7 @@ from toricsing.checks import (
     HOLDS,
     METHOD_EXACT,
     METHOD_SYMBOLIC,
+    _verify_halfline_condition,
     check_all_tameness,
     check_local_tameness,
     check_nondegeneracy,
@@ -15,8 +21,14 @@ from toricsing.checks import (
     subvariety_restriction,
     vanishing_split,
 )
-from toricsing.errors import FaceNotEssential, InvalidIndexSet
-from toricsing.newton import ToricPolynomial, newton_polyhedron, torus_form
+from toricsing.errors import AnomalyDetected, FaceNotEssential, InvalidIndexSet
+from toricsing.newton import (
+    PolyFace,
+    ToricPolynomial,
+    newton_polyhedron,
+    torus_form,
+)
+from toricsing.variety import build_variety
 
 from conftest import gr
 
@@ -105,6 +117,33 @@ def test_essential_faces_staircase(staircase_q5):
     np_ = newton_polyhedron(f0)
     dirs = {f.noncompact_direction for f in np_.faces if not f.is_compact}
     assert (1,) in dirs
+
+
+WEIGHT_OUTSIDE_SIGMA = (
+    "from toricsing.checks import _verify_halfline_condition; "
+    "from toricsing.newton import PolyFace; "
+    "from toricsing.variety import build_variety; "
+    "v = build_variety(generators=[(1, 0), (0, 1)]); "
+    "_verify_halfline_condition("
+    "v, PolyFace((-1, 0), 0, ((0, 1),), ((0, 1),), (2,), None))"
+)
+
+
+def test_halfline_check_refuses_a_weight_outside_sigma():
+    # (-1, 0) pairs to zero with exactly b_2 = (0, 1), so the direction
+    # {2} agrees with the pairings; the premise w in sigma does not hold
+    v = build_variety(generators=[(1, 0), (0, 1)])
+    face = PolyFace((-1, 0), 0, ((0, 1),), ((0, 1),), (2,), None)
+    with pytest.raises(AnomalyDetected, match="not in sigma"):
+        _verify_halfline_condition(v, face)
+    # the check is not an assert: it stays on under python -O
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", WEIGHT_OUTSIDE_SIGMA],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "AnomalyDetected: face weight (-1, 0) is not in sigma" in \
+        proc.stderr
 
 
 # ---- non-degeneracy ---------------------------------------------------------

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from toricsing import cli as cli_mod, parser
 from toricsing.cli import main
 from toricsing.errors import (
     ConstantTermForbidden,
@@ -70,6 +71,29 @@ def test_parse_constant_term_forbidden():
         parse_polynomial("1+z1", v)
     with pytest.raises(ConstantTermForbidden):
         parse_family("t+z1", v)
+
+
+def test_parse_power_is_repeated_multiplication(monkeypatch):
+    base = parser._TermValue(3, {
+        ((1, 0, 0), 0): GaussianRational(1),
+        ((0, 1, 0), 1): GaussianRational(2, -1),
+        ((0, 0, 1), 0): GaussianRational("1/3"),
+    })
+    product = parser._TermValue.constant(3, GaussianRational(1))
+    for e in range(21):
+        assert (base ** e).terms == product.terms
+        product = product * base
+    calls = []
+    mul = parser._TermValue.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+    monkeypatch.setattr(parser._TermValue, "__mul__", counted)
+    base ** 7
+    # square-and-multiply: three multiplies by the base, no square after
+    # the top bit
+    assert len(calls) == 4
 
 
 def test_parse_unknown_variable():
@@ -286,6 +310,17 @@ def test_negative_budget_is_usage_error(tmp_path, capsys, options, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "budget" in captured.err and captured.err.count("\n") == 1
+
+
+def test_internal_error_is_exit_code_4(tmp_path, capsys, monkeypatch):
+    def broken(command, args):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli_mod, "run", broken)
+    path = write_problem(tmp_path, SURFACE)
+    assert cli(["dual", "--input", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: RuntimeError: boom\n"
 
 
 def test_flat_4d_generators_are_a_usage_error(tmp_path, capsys):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from toricsing import checks, newton
+from toricsing import checks, family, newton
 from toricsing.checks import FAILS, HOLDS, UNKNOWN
 from toricsing.cli import main
 from toricsing.errors import ConditionIRequired
@@ -129,7 +129,7 @@ def test_condition_II_oracle_outcome_for_c3_variant(quartic_vertical_c3):
     assert v_gen.status == HOLDS
 
 
-def test_generic_failure_witness_is_sampled(surface_variety):
+def test_generic_failure_witness_is_sampled(surface_variety, monkeypatch):
     # the compact segment carries (1 + (1+t) u)^2: degenerate for every t
     fam = FamilyPolynomial(
         surface_variety,
@@ -141,12 +141,16 @@ def test_generic_failure_witness_is_sampled(surface_variety):
     )
     verdict, _, _, _ = check_condition_I(fam)
     assert verdict.status == HOLDS
+    counts = _count_calls(monkeypatch, [family._specialization_verdict])
     v_zero, v_gen, details = check_condition_II(fam)
     assert v_zero.status == FAILS
     assert v_gen.status == FAILS
     assert v_gen.witness is not None and v_gen.witness.replay()
-    assert "witness_sampled_at" in v_gen.trace
+    assert v_gen.trace["witness_sampled_at"] == "1"
     assert not details["anomalies"]
+    # t = 0 and generic, then samples up to the first witness: t = 1 is
+    # the first non-exceptional value of the pool
+    assert counts == {"_specialization_verdict": 2 + 1}
 
 
 def test_sample_losing_support_is_an_anomaly_not_a_crash():
@@ -301,7 +305,7 @@ def _count_calls(monkeypatch, functions):
 
 
 @pytest.mark.parametrize("command, specializations", [
-    ("family", 5),    # t = 0, generic and three samples
+    ("family", 2),    # t = 0 and generic; samples only for a pending witness
     ("stratify", 2),  # t = 0 and generic, compared by condition I
 ])
 def test_newton_data_built_once_per_specialization(

@@ -91,19 +91,29 @@ def test_compact_faces_of_flat_form_appear_in_toric_polyhedron():
 
 
 def test_essential_face_direction_lattice():
-    # essential directions always index vanishing varieties, and each
-    # direction generator lies in the face's recession cone
+    # on every non-compact face, the generators pairing to zero with the
+    # face weight are exactly those in the face's recession cone (checked
+    # by the simplex oracle), members and non-members alike; essential
+    # directions index vanishing varieties
     rng = random.Random(109)
     pool = variety_pool()
+    assert any(v.r > v.n for v in pool)
     for _ in range(40):
         v = pool[rng.randrange(len(pool))]
         g = random_polynomial(rng, v)
-        for ef in essential_noncompact_faces(g):
-            assert v.is_valid_index_set(ef.direction)
+        np_ = newton_polyhedron(g)
+        for face in np_.faces:
+            if face.is_compact:
+                continue
             rec = [r for r in v.dual.rays
-                   if linalg.dot(ef.face.weight, r) == 0]
-            for i in ef.direction:
-                assert in_cone_oracle(v.generators[i - 1], rec)
+                   if linalg.dot(face.weight, r) == 0]
+            paired = {i for i, b in enumerate(v.generators, start=1)
+                      if linalg.dot(face.weight, b) == 0}
+            in_rec = {i for i, b in enumerate(v.generators, start=1)
+                      if rec and in_cone_oracle(b, rec)}
+            assert paired == in_rec == set(face.noncompact_direction)
+        for ef in essential_noncompact_faces(g, np=np_):
+            assert v.is_valid_index_set(ef.direction)
 
 
 def test_verdict_lattice_monotone():

@@ -1,5 +1,6 @@
 """Checks on the library source itself."""
 import ast
+import sys
 from pathlib import Path
 
 from toricsing import errors
@@ -74,3 +75,21 @@ def test_every_private_function_is_used():
                        for n, node in names):
                 unused.append(f"{path.name}:{func.lineno} {name}")
     assert SOURCES and not unused, unused
+
+
+def test_src_imports_only_the_standard_library():
+    # the library depends on nothing outside the standard library; relative
+    # imports (level > 0) are the package's own modules
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names]
+    assert SOURCES and not found, found
