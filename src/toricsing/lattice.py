@@ -1,10 +1,10 @@
 """Exact rational cone geometry.
 
-Cones are given by primitive integer ray generators. Duality runs through a
-double description pass over exact rationals when a cone is built; the cone
-keeps the canonical descriptions of itself and of its dual, so its dual
-cone is built without another pass. Face lattices are intersections of
-facet boundaries. Hilbert bases need integers only: a triangulation comes
+Cones are given by primitive integer ray generators. Duality runs through an
+integer double description pass, seeded from an adjugate, when a cone is
+built; the cone keeps the canonical descriptions of itself and of its dual,
+so its dual cone is built without another pass. Face lattices are graded
+intersections of facet boundaries. For a Hilbert basis, a triangulation comes
 from the face lattice, the fundamental-parallelepiped points of each of its
 simplices from one Smith normal form, and reduction compares facet values.
 The ambient dimension is capped at 4: anything larger raises.
@@ -95,15 +95,18 @@ def _pointed_extreme_rays(ineqs, dim):
     # the pivot columns of the transposed system are the first dim
     # independent inequalities; they seed a simplicial cone
     pivots = linalg._row_reduce(
-        [[Fraction(a[i]) for a in ineqs] for i in range(dim)], len(ineqs))
+        [[a[i] for a in ineqs] for i in range(dim)], len(ineqs))
     if len(pivots) < dim:
         raise AnomalyDetected("inequality system is not pointed")
     chosen = [tuple(ineqs[k]) for k in pivots]
     rest = [tuple(a) for k, a in enumerate(ineqs) if k not in pivots]
     processed = list(chosen)
 
-    # seed rays r_j with <a_k, r_j> = delta_{kj}: the columns of the inverse
-    rays = [linalg.integerize(col) for col in zip(*linalg._inverse(chosen))]
+    # seed rays r_j with <a_k, r_j> = delta_{kj}: the columns of the
+    # inverse adj / d, so sign(d) times a column of adj lies on r_j
+    d, adj = linalg.adjugate(chosen)
+    rays = [primitive(linalg.scale_vec(-1 if d < 0 else 1, col))
+            for col in zip(*adj)]
 
     def active_set(r):
         return frozenset(i for i, a in enumerate(processed) if dot(a, r) == 0)
@@ -360,6 +363,9 @@ def face_lattice(cone: RationalCone):
     if rays and frozenset() not in face_sets:
         face_sets.add(frozenset())
 
+    dims = {}  # graded: dim F = 1 + max dim of the faces inside F, dim {0} = 0
+    for fs in sorted(face_sets, key=len):
+        dims[fs] = max((dims[g] + 1 for g in dims if g < fs), default=0)
     faces = []
     for fs in face_sets:
         members = sorted(fs)
@@ -370,8 +376,7 @@ def face_lattice(cone: RationalCone):
             normal = primitive(tuple(
                 sum(d[i] for d in active) for i in range(cone.ambient_dim)
             ))
-        dim = linalg.rank([list(r) for r in members]) if members else 0
-        faces.append(ConeFace(cone, members, dim, normal))
+        faces.append(ConeFace(cone, members, dims[fs], normal))
     faces.sort(key=lambda f: (f.dim, f.rays))
     return faces
 

@@ -1,14 +1,14 @@
 """Exact linear algebra.
 
-Matrices are lists of rows. All elimination goes through one field-generic
-Gauss–Jordan core, ``_row_reduce``: rank, lattice coordinates and inverses
-run it on Fractions, and ``solve_field_system`` runs it on Gaussian rationals
-or rational functions. Integer lattice work (Smith normal form,
-saturations) and the simplex membership oracle are separate algorithms.
-``_power_product`` evaluates a character v^e, the one power loop behind
-torus solves, witness checks and torus points. Sizes are tiny (ambient
-dimension is capped at 4), so the implementations favour clarity and
-exactness over asymptotics.
+Matrices are lists of rows. All elimination goes through one fraction-free
+Gauss–Jordan (Bareiss) core, ``_row_reduce``: rank, lattice coordinates and
+the adjugate behind inverses and double-description seeds stay in the
+integers, and ``solve_field_system`` runs it over Q(i) or Q(i)(t). Integer
+lattice work (Smith normal form, saturations) and the simplex membership
+oracle are separate algorithms. ``_power_product`` evaluates a character
+v^e, the one power loop behind torus solves, witness checks and torus
+points. Sizes are tiny (ambient dimension is capped at 4), so the
+implementations favour clarity and exactness over asymptotics.
 """
 from __future__ import annotations
 
@@ -41,16 +41,6 @@ def primitive(v):
     return tuple(int(x) // g for x in v)
 
 
-def integerize(v):
-    """Scale a rational vector to a primitive integer vector (same ray)."""
-    denom = 1
-    for x in v:
-        if isinstance(x, Fraction):
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    scaled = [int(Fraction(x) * denom) for x in v]
-    return primitive(scaled)
-
-
 def sub_vec(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
@@ -78,59 +68,56 @@ def _power_product(start, values, exponent):
 # ---------------------------------------------------------------------------
 
 def _row_reduce(aug, n):
-    """Gauss–Jordan elimination on the first n columns of aug, in place.
+    """Fraction-free Gauss–Jordan (Bareiss) elimination on the first n
+    columns of aug, in place; columns past n are carried along.
 
-    Works over any exact field whose elements compare with 0 (Fraction,
-    GaussianRational, RationalFunction); columns past n are carried along.
-    Returns the pivot columns: row i of the result has its leading 1 in
-    column pivots[i], and the rows below len(pivots) are zero in the first
-    n columns.
+    Each update (p·x − f·y) / prev divides exactly: by // when every entry
+    is an int, so integers stay integers, and by / over any other exact
+    field (Fraction, GaussianRational, RationalFunction), into which int
+    entries are lifted first. A row swap negates the row it moves up, which
+    keeps the determinant. Returns the pivot columns: row i < len(pivots)
+    holds the same d in column pivots[i] and 0 in the other pivot columns,
+    and the rows below are zero in the first n columns. So [A | I] with A
+    square and nonsingular becomes [det A · I | adj A].
     """
-    pivots = []
+    from operator import floordiv, truediv
+    ints = all(type(x) is int for row in aug for x in row)
+    if not ints:
+        z = next(x - x for row in aug for x in row if type(x) is not int)
+        aug[:] = [[x + z if type(x) is int else x for x in row] for row in aug]
+    div = floordiv if ints else truediv
+    pivots, prev = [], 1
     for c in range(n):
         r = len(pivots)
         piv = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
         if piv is None:
             continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
+        if piv != r:
+            aug[r], aug[piv] = [-x for x in aug[piv]], aug[r]
+        top, p = aug[r], aug[r][c]
         for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+            f = aug[i][c]
+            if i != r and (f != 0 or p != prev):
+                aug[i] = [div(p * x - f * y, prev) for x, y in zip(aug[i], top)]
         pivots.append(c)
+        prev = p
     return pivots
 
 
-def _solve(aug, n, zero):
-    """Reduce aug = [A | b] in place; returns (solution or None, pivots).
-
-    The solution sets every free variable to zero; None means the system
-    is inconsistent.
-    """
-    pivots = _row_reduce(aug, n)
-    if any(row[n] != 0 for row in aug[len(pivots):]):
-        return None, pivots
-    sol = [zero] * n
-    for row, c in zip(aug, pivots):
-        sol[c] = row[n]
-    return sol, pivots
-
-
-def _inverse(rows):
-    """Inverse of a square matrix with int/Fraction entries, as Fraction rows."""
+def adjugate(rows):
+    """(det A, adj A) of a nonsingular square matrix A, from one elimination
+    of [A | I]; integer matrices give integers. A^-1 = adj A / det A."""
     n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+    aug = [list(row) + [int(i == j) for j in range(n)]
            for i, row in enumerate(rows)]
     if len(_row_reduce(aug, n)) < n:
         raise AnomalyDetected("matrix to invert is singular")
-    return [row[n:] for row in aug]
+    return aug[0][0], [row[n:] for row in aug]
 
 
 def rank(rows) -> int:
-    """Rank of a matrix with int/Fraction entries."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    """Rank of a matrix over the integers or any exact field."""
+    m = [list(row) for row in rows]
     return len(_row_reduce(m, len(m[0]) if m else 0))
 
 
@@ -143,7 +130,12 @@ def solve_field_system(rows, rhs, zero, one):
     """
     n = len(rows[0]) if rows else 0
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    sol, pivots = _solve(aug, n, zero)
+    pivots = _row_reduce(aug, n)
+    sol = None
+    if all(row[n] == 0 for row in aug[len(pivots):]):
+        sol = [zero] * n
+        for row, c in zip(aug, pivots):
+            sol[c] = row[n] / row[c]
     null = []
     for fc in range(n):
         if fc in pivots:
@@ -151,17 +143,17 @@ def solve_field_system(rows, rhs, zero, one):
         vec = [zero] * n
         vec[fc] = one
         for row, pc in zip(aug, pivots):
-            vec[pc] = zero - row[fc]
+            vec[pc] = zero - row[fc] / row[pc]
         null.append(vec)
     return sol, null
 
 
 def invert_unimodular(m_rows):
     """Inverse of a unimodular integer matrix, as integer rows."""
-    inv = _inverse(m_rows)
-    if any(x.denominator != 1 for row in inv for x in row):
+    d, adj = adjugate(m_rows)
+    if abs(d) != 1:
         raise AnomalyDetected("matrix to invert is not unimodular")
-    return [tuple(int(x) for x in row) for row in inv]
+    return [tuple(d * x for x in row) for row in adj]
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +259,17 @@ def saturation_basis(vectors):
 
 def coordinates_in_basis(vec, basis):
     """Integer coordinates of vec in the given lattice basis, or None."""
-    aug = [[Fraction(x) for x in row] + [Fraction(y)]
-           for row, y in zip(zip(*basis), vec)]
-    sol, _ = _solve(aug, len(basis), Fraction(0))
-    if sol is None:
+    k = len(basis)
+    aug = [list(row) + [y] for row, y in zip(zip(*basis), vec)]
+    pivots = _row_reduce(aug, k)
+    if any(row[k] != 0 for row in aug[len(pivots):]):
         return None
-    if any(x.denominator != 1 for x in sol):
-        return None
-    return tuple(int(x) for x in sol)
+    coords = [0] * k
+    for row, c in zip(aug, pivots):
+        coords[c], rem = divmod(row[k], row[c])
+        if rem:
+            return None
+    return tuple(coords)
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,54 @@ def test_face_lattice_anti_isomorphism():
             assert face.dim + dim_ortho == n
 
 
+# Pointed full-dimensional cones of dimension 2 to 4; each test runs on
+# every cone and on its dual. The staircase cones (1, 0), ..., (1, q) are
+# the duals of cone((0, 1), (q, -1)).
+CONE_POOL = [
+    [(0, 1), (2, -1)],
+    *([(1, j) for j in range(q + 1)] for q in range(3, 8)),
+    [(2, -4, 2), (3, 2, -1), (-3, 6, 1)],
+    [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)],  # over a square
+    [(1, 0, 0, 0), (1, 2, 0, 0), (0, 1, 3, 0), (1, 1, 1, 5)],
+    # over an octahedron: 6 rays, 12 two-faces, 8 facets
+    [tuple(s * int(i == j) for j in range(3)) + (1,)
+     for i in range(3) for s in (1, -1)],
+]
+
+
+def _pool_cones():
+    for rays in CONE_POOL:
+        cone = RationalCone.from_rays(rays)
+        yield cone
+        yield dual_cone(cone)
+
+
+def test_face_dimensions_read_off_the_lattice():
+    for cone in _pool_cones():
+        faces = face_lattice(cone)
+        for face in faces:
+            assert face.dim == linalg.rank(face.rays)
+        f_vector = [sum(f.dim == k for f in faces)
+                    for k in range(cone.dim() + 1)]
+        assert f_vector[0] == f_vector[-1] == 1
+        # Euler's relation for the polytope the cone is over
+        assert sum((-1) ** k * fk for k, fk in enumerate(f_vector)) == 0
+
+
+def test_cone_path_makes_no_fraction(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} on the cone path")
+
+    monkeypatch.setattr(linalg, "Fraction", no_fraction)
+    monkeypatch.setattr(lattice, "Fraction", no_fraction)
+    for cone in _pool_cones():
+        assert face_lattice(cone)[-1].dim == cone.dim() == cone.ambient_dim
+        assert hilbert_basis(cone)
+        _, completion, _ = linalg.saturation_basis(cone.rays)
+        assert linalg.rank(completion) == len(completion)
+        linalg.invert_unimodular(completion)
+
+
 def test_contains_golden():
     cone = RationalCone.from_rays([(1, 0), (1, 2)])
     assert lattice.contains(cone, (1, 1))

@@ -151,6 +151,95 @@ def test_rank_and_solve_match_sympy():
     assert inconsistent >= 10 and singular >= 10
 
 
+def _integer_matrix(rng, m, n):
+    """A random m x n integer matrix, often singular (rows repeat earlier
+    rows up to a factor), with some entries near 10^20, past what a float
+    holds exactly."""
+    rows = [[rng.randint(-3, 3) + (rng.choice((-1, 1)) * 10 ** 20
+                                   if rng.random() < 0.2 else 0)
+             for _ in range(n)] for _ in range(m)]
+    for i in range(1, m):
+        if rng.random() < 0.3:
+            j, k = rng.randrange(i), rng.randint(-2, 2)
+            rows[i] = [k * x for x in rows[j]]
+    return rows
+
+
+def test_integer_core_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(41)
+    seen = {"singular": 0, "nonsingular": 0, "big": 0}
+    for _ in range(300):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        a = _integer_matrix(rng, m, n)
+        assert linalg.rank(a) == sympy.Matrix(a).rank()
+        if n < m:
+            continue
+        square = [row[:m] for row in a]
+        det = sympy.Matrix(square).det()
+        if det == 0:
+            seen["singular"] += 1
+            with pytest.raises(AnomalyDetected, match="singular"):
+                linalg.adjugate(square)
+            continue
+        seen["nonsingular"] += 1
+        seen["big"] += any(abs(x) > 10 ** 19 for row in square for x in row)
+        d, adj = linalg.adjugate(square)
+        want = sympy.Matrix(square).adjugate()
+        assert type(d) is int and d == det
+        assert all(type(x) is int for row in adj for x in row)
+        assert [list(row) for row in adj] == [
+            [int(want[i, j]) for j in range(m)] for i in range(m)]
+    assert min(seen.values()) >= 20, seen
+
+
+def test_coordinates_in_basis_are_none_exactly_off_the_lattice():
+    sympy = pytest.importorskip("sympy")
+    assert linalg.coordinates_in_basis((1, 1), [(2, 0), (0, 2)]) is None
+    assert linalg.coordinates_in_basis((2, -4), [(2, 0), (0, 2)]) == (1, -2)
+    rng = random.Random(43)
+    seen = {"integral": 0, "fractional": 0, "off the span": 0}
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        basis = _integer_matrix(rng, rng.randint(1, n), n)
+        cols = sympy.Matrix(basis).T
+        if cols.rank() < len(basis):
+            continue
+        if rng.random() < 0.5:
+            vec = [rng.randint(-4, 4) for _ in range(n)]
+        else:
+            vec = [int(x) for x in cols * sympy.Matrix(
+                [rng.randint(-3, 3) for _ in basis])]
+        got = linalg.coordinates_in_basis(vec, basis)
+        try:
+            sol, _ = cols.gauss_jordan_solve(sympy.Matrix(vec))
+        except ValueError:  # sympy: vec is not in the span
+            seen["off the span"] += 1
+            assert got is None
+            continue
+        if all(x.is_integer for x in sol):
+            seen["integral"] += 1
+            assert got == tuple(int(x) for x in sol)
+            assert all(type(x) is int for x in got)
+        else:
+            seen["fractional"] += 1
+            assert got is None
+    assert min(seen.values()) >= 20, seen
+
+
+def test_rank_over_fractions():
+    assert linalg.rank([[Fraction(1, 2), 1], [1, 2]]) == 1
+    assert linalg.rank([[Fraction(1, 2), 1], [1, 3]]) == 2
+    assert linalg.rank([[1, 2, Fraction(1, 3)], [2, 4, 1]]) == 2
+    # int entries are lifted into the field: no int / int makes a float
+    big = 10 ** 20
+    sol, null = linalg.solve_field_system(
+        [[1, big], [1, big + 1]], [Fraction(1, 2), 0], Fraction(0),
+        Fraction(1))
+    assert sol == [Fraction(big + 1, 2), Fraction(-1, 2)] and null == []
+    assert all(type(x) is Fraction for x in sol)
+
+
 def _unimodular(rng, n):
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(6):
@@ -246,6 +335,23 @@ def test_pivot_columns_are_the_greedy_independent_rows():
                 greedy.append(k)
         transposed = [[Fraction(row[i]) for row in rows] for i in range(dim)]
         assert linalg._row_reduce(transposed, len(rows)) == greedy
+
+
+INVERT_SINGULAR = (
+    "from toricsing import linalg; "
+    "linalg.invert_unimodular([[1, 2], [2, 4]])"
+)
+
+
+def test_invert_unimodular_refuses_a_singular_matrix():
+    with pytest.raises(AnomalyDetected, match="singular"):
+        linalg.invert_unimodular([[1, 2], [2, 4]])
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", INVERT_SINGULAR],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "AnomalyDetected: matrix to invert is singular" in proc.stderr
 
 
 INVERT_NOT_UNIMODULAR = (
