@@ -200,8 +200,14 @@ def run(command, args) -> tuple[int, dict]:
     return code, out
 
 
+_PARSER = None  # built on the first main call, not at import
+
+
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_arg_parser()
+    args = _PARSER.parse_args(argv)
     try:
         code, out = run(args.command, args)
         if args.format == "structured":

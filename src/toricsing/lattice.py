@@ -4,10 +4,11 @@ Cones are given by primitive integer ray generators. Duality runs through an
 integer double description pass, seeded from an adjugate, when a cone is
 built; the cone keeps the canonical descriptions of itself and of its dual,
 so its dual cone is built without another pass. Face lattices are graded
-intersections of facet boundaries. For a Hilbert basis, a triangulation comes
-from the face lattice, the fundamental-parallelepiped points of each of its
-simplices from one Smith normal form, and reduction compares facet values.
-The ambient dimension is capped at 4: anything larger raises.
+intersections of facet boundaries. A Hilbert basis comes from a triangulation
+over the face lattice: one Smith normal form per simplex lists its
+parallelepiped group, only componentwise-minimal numerators become lattice
+points, and facet values reduce their union with the rays. The ambient
+dimension is capped at 4: anything larger raises.
 """
 from __future__ import annotations
 
@@ -76,10 +77,10 @@ class RationalVector:
 
 
 def _coords(v):
-    """Accept RationalVector or any sequence of ints/Fractions."""
-    if isinstance(v, RationalVector):
-        return v.coords
-    return tuple(Fraction(x) for x in v)
+    """Any sequence of ints or Fractions, or a RationalVector; an all-int
+    one stays int, so its pairings with integer normals do too."""
+    v = tuple(v)
+    return v if all(type(x) is int for x in v) else tuple(map(Fraction, v))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +393,7 @@ def minimize(points, recession: RationalCone, w):
     Returns (minimum value, tuple of attaining points). Raises UnboundedBelow
     when w pairs negatively with some recession ray.
     """
-    ww = _coords(w)
+    ww = tuple(Fraction(x) for x in w)
     for r in recession.rays:
         if dot(ww, r) < 0:
             raise UnboundedBelow(
@@ -437,35 +438,30 @@ def hilbert_basis(cone: RationalCone):
             if c is None:
                 raise AnomalyDetected("ray not in the saturated span")
             reduced_rays.append(c)
-        sub = RationalCone(d, reduced_rays)
-        hb = hilbert_basis(sub)
-        lifted = [
+        return sorted(
             tuple(sum(c[j] * basis[j][i] for j in range(d)) for i in range(n))
-            for c in hb
-        ]
-        return sorted(lifted)
+            for c in hilbert_basis(RationalCone(d, reduced_rays)))
 
+    # every basis element lies in some simplex and is irreducible there
     candidates = set(cone.rays)
     for simplex in _triangulate(cone):
-        candidates.update(_parallelepiped_points(simplex))
+        candidates.update(_minimal_group_points(simplex))
 
-    # c - h lies in the cone iff no facet value of h exceeds that of c; the
-    # degree (sum of facet values) is positive off 0, so only basis elements
-    # of lower degree can reduce a candidate
+    # c - h lies in the cone iff no facet value of h exceeds that of c, and
+    # the facet values of a point determine it
     facets = cone.facet_normals()
-    values = {c: tuple(dot(f, c) for f in facets) for c in candidates}
-    ordered = sorted(candidates, key=lambda v: (sum(values[v]), v))
-    basis_out, basis_values = [], []
-    lower, degree = 0, None
-    for c in ordered:
-        vc = values[c]
-        if sum(vc) != degree:
-            lower, degree = len(basis_out), sum(vc)
-        if not any(all(map(operator.le, vh, vc))
-                   for vh in basis_values[:lower]):
-            basis_out.append(c)
-            basis_values.append(vc)
-    return sorted(basis_out)
+    values = {tuple(dot(f, c) for f in facets): c for c in candidates}
+    return sorted(values[v] for v in _minimal(values))
+
+
+def _minimal(vectors):
+    """The componentwise-minimal ones among distinct vectors, in order of
+    sum: one of least sum left is minimal, and it sieves out all above it."""
+    left, kept = sorted(vectors, key=sum), []
+    while left:
+        kept.append(left[0])
+        left = [v for v in left if not all(map(operator.le, kept[-1], v))]
+    return kept
 
 
 def _triangulate(cone: RationalCone):
@@ -490,43 +486,39 @@ def _triangulate(cone: RationalCone):
     return split(cone.rays, d)
 
 
-def _parallelepiped_points(simplex_rays):
-    """Nonzero lattice points of {sum t_i v_i : 0 <= t_i < 1}.
+def _minimal_group_points(simplex_rays):
+    """The Hilbert basis elements of cone(simplex_rays) ∩ Z^d other than the
+    rays, for d independent rays v_i in R^d.
 
-    The rays span the ambient space (the caller reduced to full dimension),
-    but may sit in a lower-dimensional sublattice when called recursively on
-    facets; then coordinates are taken inside the saturated span.
+    With D the largest invariant factor of V (the rays as columns), each g
+    in Z^d / V Z^d has one lattice point p(g) = sum num(g)_i v_i / D in the
+    half-open parallelepiped {sum t_i v_i : 0 <= t_i < 1}, num(g) in
+    [0, D)^d, and g -> num(g) is injective. Every cone lattice point is a
+    p(g) plus rays, and no ray splits off p(h) (that leaves a negative ray
+    coordinate), so only the p(h), h != 0, can join the rays. If g != 0, h
+    and num(g) <= num(h) componentwise, p(h) - p(g) =
+    sum (num(h)_i - num(g)_i) / D * v_i is a nonzero cone lattice point, so
+    p(h) splits. Conversely, if p(h) = x + y with x, y nonzero cone lattice
+    points, their ray coordinates are nonnegative and add up to num(h) / D,
+    so x = p(g) with g != 0, h and num(g) <= num(h). So p(h) is irreducible
+    iff num(h) is minimal among the nonzero numerators: only those are built.
     """
-    n = len(simplex_rays[0])
     d = len(simplex_rays)
-    if d < n:
-        basis, _, _ = linalg.saturation_basis(simplex_rays)
-        reduced = [linalg.coordinates_in_basis(r, basis) for r in simplex_rays]
-        pts = _parallelepiped_points(reduced)
-        return [
-            tuple(sum(p[j] * basis[j][i] for j in range(d)) for i in range(n))
-            for p in pts
-        ]
     cols = [list(col) for col in zip(*simplex_rays)]  # V with rays as columns
-    # U V W = S, so the lattice points U^{-1} c, 0 <= c_k < s_k, represent
-    # Z^d / V Z^d and have ray coordinates t = W S^{-1} c. With D the last
-    # invariant factor, frac(t) = num / D for num = (W (D/s_k) c) mod D, and
-    # the point is V num / D: integers only, no solve per point.
+    # U V W = S: the points U^{-1} c, 0 <= c_k < s_k, represent the group,
+    # with ray coordinates t = W S^{-1} c, so num = W (D/s_k) c mod D
     _, s, w = linalg.smith_normal_form(cols)
     diag = [s[k][k] for k in range(d)]
     if any(x == 0 for x in diag):
         raise AnomalyDetected("simplex rays are linearly dependent")
     big = diag[-1]
-    orders = [x for x in diag if x > 1]
-    steps = [[w[i][k] * (big // x) for i in range(d)]
-             for k, x in enumerate(diag) if x > 1]
-    points = set()
-    for combo in itertools.product(*map(range, orders)):
-        num = [sum(c * col[i] for c, col in zip(combo, steps)) % big
-               for i in range(d)]
-        scaled = [dot(row, num) for row in cols]
-        if any(x % big for x in scaled):
-            raise AnomalyDetected("parallelepiped point is not integral")
-        points.add(tuple(x // big for x in scaled))
-    points.discard(tuple(0 for _ in range(d)))
-    return sorted(points)
+    coord = [[0] for _ in range(d)]  # coordinate i of every numerator
+    for k, x in enumerate(diag):
+        coord = [[(a + c * w[i][k] * (big // x)) % big
+                  for a in col for c in range(x)]
+                 for i, col in enumerate(coord)]
+    nums = list(zip(*coord))  # nums[0] is the numerator of 0
+    scaled = [[dot(row, num) for row in cols] for num in _minimal(nums[1:])]
+    if any(x % big for p in scaled for x in p):
+        raise AnomalyDetected("parallelepiped point is not integral")
+    return [tuple(x // big for x in p) for p in scaled]

@@ -323,6 +323,20 @@ def test_internal_error_is_exit_code_4(tmp_path, capsys, monkeypatch):
     assert captured.err == "error: internal: RuntimeError: boom\n"
 
 
+def test_bad_arguments_exit_2_on_every_call(tmp_path, capsys):
+    # main builds its parser once; a rejected call leaves it as it was
+    path = write_problem(tmp_path, SURFACE)
+    for argv in (["bogus", "--input", path], ["dual"],
+                 ["dual", "--input", path, "--format", "html"]):
+        with pytest.raises(SystemExit) as exc:
+            cli(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli(["dual", "--input", path, "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)
+    assert cli_mod._PARSER is not None
+
+
 def test_flat_4d_generators_are_a_usage_error(tmp_path, capsys):
     # the dualizations of these three rays once made the Smith form run
     # for minutes

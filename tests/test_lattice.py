@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -210,6 +211,9 @@ def test_cone_path_makes_no_fraction(monkeypatch):
     for cone in _pool_cones():
         assert face_lattice(cone)[-1].dim == cone.dim() == cone.ambient_dim
         assert hilbert_basis(cone)
+        for r in cone.rays:
+            assert cone.contains(r) and lattice.contains(cone, list(r))
+            assert not cone.contains(tuple(-x for x in r))
         _, completion, _ = linalg.saturation_basis(cone.rays)
         assert linalg.rank(completion) == len(completion)
         linalg.invert_unimodular(completion)
@@ -426,18 +430,40 @@ def test_smith_form_of_a_flat_4d_cone_finishes():
 
 def _fraction_parallelepiped(simplex_rays):
     """Reference: every lattice point of the box around the half-open
-    parallelepiped, kept when its Fraction solve V t = p has 0 <= t_i < 1."""
+    parallelepiped, kept when its Fraction solve V t = p has 0 <= t_i < 1;
+    maps each nonzero point found to its ray coordinates t."""
     rows = list(zip(*simplex_rays))
     box = [range(sum(min(0, x) for x in row), sum(max(0, x) for x in row) + 1)
            for row in rows]
     cols = [[Fraction(x) for x in row] for row in rows]
-    points = []
+    points = {}
     for p in itertools.product(*box):
         t, _ = linalg.solve_field_system(cols, [Fraction(x) for x in p],
                                          Fraction(0), Fraction(1))
         if t is not None and all(0 <= x < 1 for x in t) and any(p):
-            points.append(p)
+            points[p] = tuple(t)
     return points
+
+
+def _fraction_minimal_points(simplex_rays):
+    """The reference points whose ray coordinates are componentwise minimal
+    among those of the nonzero parallelepiped points."""
+    coords = _fraction_parallelepiped(simplex_rays)
+    return sorted(p for p, t in coords.items()
+                  if not any(s != t and all(map(operator.le, s, t))
+                             for s in coords.values()))
+
+
+def _group_points_in_span(simplex_rays):
+    """_minimal_group_points inside the saturated span of the rays, as
+    hilbert_basis reduces a lower-dimensional cone, lifted back to Z^n."""
+    n, d = len(simplex_rays[0]), len(simplex_rays)
+    if d == n:
+        return lattice._minimal_group_points(simplex_rays)
+    basis, _, _ = linalg.saturation_basis(simplex_rays)
+    reduced = [linalg.coordinates_in_basis(r, basis) for r in simplex_rays]
+    return [tuple(sum(p[j] * basis[j][i] for j in range(d)) for i in range(n))
+            for p in lattice._minimal_group_points(reduced)]
 
 
 def _invariant_factors(simplex_rays):
@@ -471,12 +497,12 @@ def _random_simplices(rng):
     return out
 
 
-def test_parallelepiped_points_match_a_fraction_reference():
+def test_minimal_group_points_match_a_fraction_reference():
     simplices = _random_simplices(random.Random(61))
     several = deficient = 0
     for rays in simplices:
-        got = lattice._parallelepiped_points(rays)
-        assert sorted(got) == sorted(_fraction_parallelepiped(rays)), rays
+        got = _group_points_in_span(rays)
+        assert sorted(got) == _fraction_minimal_points(rays), rays
         assert len(set(got)) == len(got)
         if len(rays) == len(rays[0]):
             several += sum(x > 1 for x in _invariant_factors(rays)) >= 2
@@ -485,9 +511,70 @@ def test_parallelepiped_points_match_a_fraction_reference():
     assert len(simplices) >= 200 and several >= 30 and deficient >= 50
 
 
-def test_parallelepiped_points_refuse_dependent_rays():
+def test_minimal_group_points_refuse_dependent_rays():
     with pytest.raises(AnomalyDetected):
-        lattice._parallelepiped_points([(1, 2), (2, 4)])
+        lattice._minimal_group_points([(1, 2), (2, 4)])
+
+
+def _enumerate_then_reduce(cone):
+    """Reference for a full-dimensional pointed cone: every point of the
+    fundamental parallelepiped of each simplex, from one Smith normal form,
+    reduced against the others by facet values."""
+    candidates = set(cone.rays)
+    for rays in lattice._triangulate(cone):
+        cols = [list(col) for col in zip(*rays)]
+        d = len(rays)
+        _, s, w = linalg.smith_normal_form(cols)
+        diag = [s[k][k] for k in range(d)]
+        big = diag[-1]
+        steps = [[w[i][k] * (big // x) for i in range(d)]
+                 for k, x in enumerate(diag)]
+        for combo in itertools.product(*map(range, diag)):
+            num = [sum(c * col[i] for c, col in zip(combo, steps)) % big
+                   for i in range(d)]
+            scaled = [linalg.dot(row, num) for row in cols]
+            assert not any(x % big for x in scaled)
+            candidates.add(tuple(x // big for x in scaled))
+    candidates.discard((0,) * cone.ambient_dim)
+    facets = cone.facet_normals()
+    values = {c: tuple(linalg.dot(f, c) for f in facets) for c in candidates}
+    basis = []
+    for c in sorted(candidates, key=lambda v: sum(values[v])):
+        if not any(all(map(operator.le, values[h], values[c])) for h in basis):
+            basis.append(c)
+    return sorted(basis)
+
+
+def test_hilbert_basis_matches_enumerate_then_reduce_on_the_ladder():
+    # the cone_ladder range: sigma = cone(e1, e2, (a, b, c)) for c up to 43
+    # and the planar cone((m, 1), (1, m)) for m up to 22, and their duals
+    rng = random.Random(71)
+    cones = []
+    for c in range(4, 44):
+        a, b = rng.randint(1, c - 1), rng.randint(1, c - 1)
+        while math.gcd(a, b, c) != 1:
+            a, b = rng.randint(1, c - 1), rng.randint(1, c - 1)
+        cones.append(RationalCone.from_rays([(1, 0, 0), (0, 1, 0), (a, b, c)]))
+    cones += [RationalCone.from_rays([(m, 1), (1, m)]) for m in range(3, 23)]
+    for cone in cones:
+        for side in (cone, dual_cone(cone)):
+            assert hilbert_basis(side) == _enumerate_then_reduce(side), side
+
+
+def test_hilbert_basis_builds_points_only_for_basis_elements(monkeypatch):
+    # enumerating the whole parallelepiped took about 240000 dot calls here:
+    # three to build each of its 40000 points and three for its facet values
+    dual = dual_cone(RationalCone.from_rays([(1, 0, 0), (0, 1, 0),
+                                             (7, 9, 200)]))
+    calls = []
+
+    def counted_dot(u, v):
+        calls.append(1)
+        return linalg.dot(u, v)
+
+    monkeypatch.setattr(lattice, "dot", counted_dot)
+    assert len(hilbert_basis(dual)) == 46
+    assert len(calls) < 1000
 
 
 def test_hilbert_basis_of_seeded_3d_duals():
