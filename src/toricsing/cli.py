@@ -30,7 +30,6 @@ from .family import (
     check_admissibility,
     check_condition_I,
 )
-from .lattice import face_lattice
 from .newton import newton_polyhedron
 from .parser import parse_problem
 from .polynomials import Poly
@@ -121,7 +120,7 @@ def run(command, args) -> tuple[int, dict]:
                     "dim": f.dim,
                     "supporting_normal": list(f.supporting_normal),
                 }
-                for f in face_lattice(v.dual)
+                for f in v.dual_faces
             ]
             out["valid_index_sets"] = [list(s) for s in v.valid_index_sets]
     elif command == "nondeg":

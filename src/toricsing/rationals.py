@@ -186,7 +186,9 @@ class GaussianRational:
         return self._a == o[0] and self._b == o[1] and self._d == o[2]
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the int or Fraction a/d that it equals
+        return hash(Fraction(self._a, self._d) if self._b == 0
+                    else (self._a, self._b, self._d))
 
     # -- rendering -------------------------------------------------------
 

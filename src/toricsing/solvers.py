@@ -15,10 +15,11 @@ one Smith normal form decides consistency over Q(i) or Q(i)(t) before any
 root is taken, and over Q(i) then extracts the roots.
 
 Everything else falls back to a seeded randomized search whose candidates
-are certified by exact substitution; with no certified candidate the
-outcome is honest "unknown". Coefficients may lie in Q(i) or, for a generic
-family member, in Q(i)(t); the field is read off the coefficients, and over
-Q(i)(t) a solvable outcome carries no witness.
+are certified by exact substitution, after a residue test modulo p rejects
+candidates that cannot be roots; with none certified the outcome is honest
+"unknown". Coefficients may lie in Q(i) or, for a generic family member, in
+Q(i)(t); the field is read off the coefficients, and over Q(i)(t) a
+solvable outcome carries no witness.
 
 Witnesses are exact Gaussian-rational points or algebraic points: values in
 Q(i)[s]/(m(s)) for a stored nonconstant modulus m, verified by polynomial
@@ -224,23 +225,64 @@ _SEARCH_POOL = [
 ]
 
 
+# p = 1 (mod 4) is prime and _IOTA = 11^((p-1)/4), so _IOTA^2 = -1 (mod p)
+_P, _IOTA = 1_000_000_009, 569522298
+
+
+def _residue(z):
+    """The image (a + b*_IOTA)/d in F_p of z = (a + b*i)/d, or None."""
+    re, im = z.re, z.im
+    if re.denominator % _P and im.denominator % _P:
+        return (re.numerator * pow(re.denominator, -1, _P)
+                + im.numerator * pow(im.denominator, -1, _P) * _IOTA) % _P
+    return None
+
+
+# (value, residue) in pool order: draws from it match draws from the pool
+_POOL_IMAGES = tuple((z, _residue(z)) for z in _SEARCH_POOL)
+
+
 def random_search(equations, n_vars, rng, budget):
-    """Try exact candidates; return a verified PointWitness or None."""
+    """Try exact candidates; return a verified PointWitness or None.
+
+    i -> _IOTA maps Z[i] localized at (p, i - _IOTA) onto F_p. Pool values
+    (all of nonzero residue), their inverses, and coefficients with
+    denominators prime to p lie in that ring, so an equation whose image is
+    nonzero at a candidate is nonzero exactly: the candidate is skipped.
+    If p divides a coefficient's denominator, none is skipped. Only exact
+    substitution (``PointWitness.verify``) certifies a witness.
+    """
     names = tuple(f"v{i+1}" for i in range(n_vars))
-    # structured pass: roots of unity on few variables
-    if n_vars <= 4:
-        units = [GaussianRational(1), GaussianRational(-1),
-                 GaussianRational(0, 1), GaussianRational(0, -1)]
-        for combo in itertools.product(units, repeat=n_vars):
-            w = PointWitness(names, combo)
-            if w.verify(equations):
-                return w
-    for _ in range(budget):
-        combo = tuple(rng.choice(_SEARCH_POOL) for _ in range(n_vars))
-        w = PointWitness(names, combo)
+    # each term as (coefficient residue, its nonzero (variable, exponent))
+    images = [[(_residue(c), [(j, e) for j, e in enumerate(exp) if e])
+               for exp, c in terms.items()] for terms in equations]
+    if any(c is None for image in images for c, _ in image):
+        images = []
+    # units 1, -1, i, -i first; lazy draws advance the rng only as needed
+    units = itertools.product(_POOL_IMAGES[:4], repeat=n_vars) \
+        if n_vars <= 4 else ()
+    draws = (tuple(rng.choice(_POOL_IMAGES) for _ in range(n_vars))
+             for _ in range(budget))
+    for combo in itertools.chain(units, draws):
+        if _misses_mod_p(images, combo):
+            continue
+        w = PointWitness(names, [z for z, _ in combo])
         if w.verify(equations):
             return w
     return None
+
+
+def _misses_mod_p(images, combo):
+    """Whether some equation's image is nonzero at the candidate."""
+    for image in images:
+        total = 0
+        for c, powers in image:
+            for j, e in powers:
+                c *= pow(combo[j][1], e, _P)
+            total += c
+        if total % _P:
+            return True
+    return False
 
 
 def euler_maps(terms, n):

@@ -75,6 +75,7 @@ class ToricVariety:
         hilbert_basis: the Hilbert basis of the dual cone, sorted.
         valid_index_sets: sorted tuple of the index sets {i : b_i on tau},
             1-based, one per face of the dual cone.
+        dual_faces: the faces of the dual cone, in face_lattice order.
         warnings: structured warnings attached at build time.
     """
 
@@ -86,12 +87,12 @@ class ToricVariety:
         "generators",
         "hilbert_basis",
         "valid_index_sets",
-        "dual_faces_by_index_set",
+        "dual_faces",
         "warnings",
     )
 
     def __init__(self, sigma, dual, generators, hilbert_basis,
-                 valid_index_sets, dual_faces_by_index_set, warnings):
+                 valid_index_sets, dual_faces, warnings):
         object.__setattr__(self, "n", sigma.ambient_dim)
         object.__setattr__(self, "r", len(generators))
         object.__setattr__(self, "sigma", sigma)
@@ -99,7 +100,7 @@ class ToricVariety:
         object.__setattr__(self, "generators", tuple(tuple(g) for g in generators))
         object.__setattr__(self, "hilbert_basis", tuple(hilbert_basis))
         object.__setattr__(self, "valid_index_sets", tuple(valid_index_sets))
-        object.__setattr__(self, "dual_faces_by_index_set", dict(dual_faces_by_index_set))
+        object.__setattr__(self, "dual_faces", tuple(dual_faces))
         object.__setattr__(self, "warnings", tuple(warnings))
 
     def __setattr__(self, name, value):
@@ -174,24 +175,19 @@ def build_variety(sigma_rays=None, generators=None,
                 raise GeneratorsDontGenerate(message)
             warnings.append(message)
 
-    index_sets = {}
-    for face in face_lattice(dual):
-        # b lies on the face iff it pairs to zero with the supporting normal
-        # (the improper face has normal 0, which correctly collects all b_i)
-        members = tuple(
-            i + 1
-            for i, b in enumerate(gens)
-            if dot(face.supporting_normal, b) == 0
-        )
-        index_sets.setdefault(members, face)
-    valid = sorted(index_sets)
+    faces = face_lattice(dual)
+    # b lies on a face iff it pairs to zero with the supporting normal (the
+    # improper face has normal 0, which correctly collects all b_i)
+    valid = sorted({tuple(i + 1 for i, b in enumerate(gens)
+                          if dot(face.supporting_normal, b) == 0)
+                    for face in faces})
     return ToricVariety(
         sigma=sigma,
         dual=dual,
         generators=gens,
         hilbert_basis=basis,
         valid_index_sets=valid,
-        dual_faces_by_index_set=index_sets,
+        dual_faces=faces,
         warnings=warnings,
     )
 

@@ -170,6 +170,26 @@ def test_faces_command_without_polynomial(tmp_path, capsys):
     assert [1, 2, 3] in data["valid_index_sets"]
 
 
+def test_faces_command_builds_the_dual_face_lattice_once(tmp_path, capsys,
+                                                         monkeypatch):
+    from toricsing import lattice, variety
+    calls = []
+    original = lattice.face_lattice
+
+    def counted(cone):
+        calls.append(cone)
+        return original(cone)
+
+    for module in (lattice, variety, cli_mod):
+        monkeypatch.setattr(module, "face_lattice", counted, raising=False)
+    path = write_problem(tmp_path, {"variety": {
+        "sigma_rays": [[1, 0, 0], [0, 1, 0], [7, 9, 40]]}})
+    assert cli(["faces", "--input", path, "--format", "structured"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    assert len(data["cone_faces"]) == len(data["valid_index_sets"]) == 8
+
+
 def test_analyze_vertical_quartic(tmp_path, capsys):
     payload = dict(SURFACE)
     payload["polynomial"] = "z1^4+z2^4*z3-z2^2*z3^2"

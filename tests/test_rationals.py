@@ -28,6 +28,18 @@ def test_field_axioms_spotcheck():
     assert gr(0, 1) * gr(0, 1) == gr(-1)
 
 
+def test_int_and_fraction_keys_find_equal_values():
+    # equal values hash equally, so dict and set lookups agree with ==
+    for key, value in ((1, gr(1)), (-3, gr(-3)), (Fraction(1, 2), gr("1/2")),
+                       (Fraction(-7, 3), gr(Fraction(-7, 3)))):
+        assert value == key
+        assert {key: "x"}.get(value) == "x"
+        assert {value: "x"}.get(key) == "x"
+        assert value in {key} and key in {value}
+    assert {gr(1, 1): "x"}.get(gr(1, 1)) == "x"
+    assert {1: "x"}.get(gr(1, 1)) is None
+
+
 def test_powers_including_negative():
     z = gr(Fraction(1, 2), 1)
     assert z ** 0 == gr(1)

@@ -123,8 +123,9 @@ def test_equality_and_hash(x, y):
     assert (zx != zy) == (x != y)
     if zx == zy:
         assert hash(zx) == hash(zy)
-    # the hash is that of the Fraction pair, which fixes set and dict order
-    assert hash(zx) == hash(x)
+    # a real value equals the Fraction of its real part, so it hashes as one
+    if x[1] == 0:
+        assert hash(zx) == hash(x[0])
 
 
 @reproducible
@@ -137,7 +138,7 @@ def test_equality_and_hash_with_int_and_fraction(x, c):
     as_gr = GaussianRational(c)
     assert as_gr == c and as_gr == GaussianRational(Fraction(c))
     assert hash(as_gr) == hash(GaussianRational(Fraction(c)))
-    assert hash(as_gr) == hash((Fraction(c), Fraction(0)))
+    assert hash(as_gr) == hash(c)
 
 
 @reproducible

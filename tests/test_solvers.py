@@ -1,15 +1,18 @@
 import inspect
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from toricsing.linalg import dot
+from toricsing.linalg import _power_product, dot
 from toricsing.polynomials import Poly, RationalFunction
 from toricsing.rationals import GaussianRational
+from toricsing import solvers
 from toricsing.solvers import (
     EMPTY,
     SOLVABLE,
+    UNKNOWN,
     AlgebraicWitness,
     Outcome,
     PointWitness,
@@ -19,6 +22,7 @@ from toricsing.solvers import (
     euler_maps,
     gaussian_roots,
     gradient_equations,
+    random_search,
     solve_monomial_system,
 )
 
@@ -304,3 +308,115 @@ def test_rational_function_planar_quadrinomials():
         SOLVABLE, "planar-quadrinomial",
         "monomial values realizable; witness via specialization")
     assert out.witness is None
+
+
+# ---- the residue test of the witness search ---------------------------------
+
+def exact_random_search(equations, n_vars, rng, budget):
+    """The search with exact substitution only, as a reference."""
+    names = tuple(f"v{i+1}" for i in range(n_vars))
+    if n_vars <= 4:
+        units = [gr(1), gr(-1), gr(0, 1), gr(0, -1)]
+        for combo in itertools.product(units, repeat=n_vars):
+            w = PointWitness(names, combo)
+            if w.verify(equations):
+                return w
+    for _ in range(budget):
+        combo = tuple(rng.choice(solvers._SEARCH_POOL) for _ in range(n_vars))
+        w = PointWitness(names, combo)
+        if w.verify(equations):
+            return w
+    return None
+
+
+def random_gaussian(rng):
+    """A nonzero Gaussian rational with small parts."""
+    return gr(Fraction(rng.choice((-6, -3, -2, -1, 1, 2, 3, 5)),
+                       rng.randint(1, 4)),
+              rng.choice((0, 0, rng.randint(-3, 3))))
+
+
+def seeded_system(rng, n, planted):
+    """1-3 equations in n variables; with a planted point, the last term of
+    each equation is chosen so that the point is a root."""
+    eqs = []
+    for _ in range(rng.randint(1, 3)):
+        exps = rng.sample(list(itertools.product(range(-1, 3), repeat=n)),
+                          rng.randint(2, 4))
+        terms = {e: random_gaussian(rng) for e in exps}
+        if planted is not None:
+            last = exps[-1]
+            value = sum((_power_product(c, planted, e)
+                         for e, c in terms.items() if e != last), gr(0))
+            terms[last] = gr(0) - value / _power_product(gr(1), planted, last)
+            if terms[last].is_zero():
+                del terms[last]
+        eqs.append(terms)
+    return eqs
+
+
+def test_residue_test_keeps_the_search_results():
+    # same witness, same rng state as exact substitution alone
+    rng = random.Random(2020)
+    hits = planted_count = 0
+    for k in range(360):
+        n = rng.randint(2, 4)
+        planted = None
+        if k % 2 == 0:
+            pool = solvers._SEARCH_POOL if n == 2 else solvers._SEARCH_POOL[:4]
+            planted = tuple(rng.choice(pool) for _ in range(n))
+            planted_count += 1
+        eqs = seeded_system(rng, n, planted)
+        seed = rng.randint(0, 10 ** 6)
+        budget = rng.choice((50, 200))
+        r1, r2 = random.Random(seed), random.Random(seed)
+        got = random_search(eqs, n, r1, budget)
+        want = exact_random_search(eqs, n, r2, budget)
+        assert r1.getstate() == r2.getstate()
+        if want is None:
+            assert got is None, eqs
+            continue
+        assert (got.names, got.values) == (want.names, want.values), eqs
+        hits += 1
+    assert planted_count >= 120
+    assert hits >= 100
+
+
+def test_residue_test_keeps_coefficients_with_denominator_p():
+    p = solvers._P
+    eqs = [{(1, 0): gr(Fraction(1, p)), (0, 0): gr(Fraction(-2, p))},
+           {(0, 1): gr(1), (0, 0): gr(Fraction(1, 2))}]
+    w = random_search(eqs, 2, random.Random(3), 2000)
+    assert w is not None and w.values == (gr(2), gr(Fraction(-1, 2)))
+    ref = exact_random_search(eqs, 2, random.Random(3), 2000)
+    assert w.values == ref.values
+
+
+def test_stuck_binomial_system_makes_no_exact_substitution(monkeypatch):
+    # v1^2 = 2 has no Gaussian-rational root, so every candidate fails and
+    # the residue test rejects each one before exact substitution
+    calls = []
+    verify = PointWitness.verify
+
+    def counted(self, equations):
+        calls.append(1)
+        return verify(self, equations)
+    monkeypatch.setattr(PointWitness, "verify", counted)
+    out = decide_equation_system([{(2, 0): gr(1), (0, 0): gr(-2)}], 2)
+    assert out.status == UNKNOWN
+    assert calls == []
+
+
+def test_residue_map_is_a_ring_homomorphism():
+    p, iota, residue = solvers._P, solvers._IOTA, solvers._residue
+    assert p % 4 == 1 and iota * iota % p == p - 1
+    assert residue(gr(0, 1)) == iota
+    rng = random.Random(7)
+    for _ in range(200):
+        a, b = random_gaussian(rng), random_gaussian(rng)
+        assert residue(a + b) == (residue(a) + residue(b)) % p
+        assert residue(a * b) == residue(a) * residue(b) % p
+        assert residue(gr(1) / a) == pow(residue(a), -1, p)
+    assert residue(gr(Fraction(1, p))) is None
+    assert [z for z, _ in solvers._POOL_IMAGES] == solvers._SEARCH_POOL
+    assert all(r == residue(z) and r != 0 for z, r in solvers._POOL_IMAGES)

@@ -93,3 +93,30 @@ def test_src_imports_only_the_standard_library():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names]
     assert SOURCES and not found, found
+
+
+def test_src_uses_no_floating_point():
+    # the library is exact: no float or complex literal, no float(), no
+    # cmath and no inexact math functions (math.isqrt and math.gcd are exact)
+    inexact = {"sqrt", "log", "exp", "pow"}
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant):
+                bad = isinstance(node.value, (float, complex))
+            elif isinstance(node, ast.Name):
+                bad = node.id == "float"
+            elif isinstance(node, ast.Import):
+                bad = any(a.name == "cmath" for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                bad = node.module == "cmath" or node.module == "math" and any(
+                    a.name in inexact for a in node.names)
+            elif isinstance(node, ast.Attribute):
+                bad = (isinstance(node.value, ast.Name)
+                       and node.value.id == "math" and node.attr in inexact)
+            else:
+                continue
+            if bad:
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert SOURCES and not found, found
