@@ -79,7 +79,11 @@ class ConditionIRequired(ToricError):
     """The operation needs a constant Newton boundary, which was not verified."""
 
 
-# ---- parsing / CLI ----
+# ---- parsing / CLI / reports ----
+
+class NotReportData(ToricError, TypeError):
+    """A report value is not a str-keyed dict, list, str, int, bool or None."""
+
 
 class ParseError(ToricError):
     """Malformed problem file or polynomial string."""

@@ -263,9 +263,8 @@ class RationalCone:
         return not self._own[0]
 
     def dim(self) -> int:
-        if not self.rays:
-            return 0
-        return linalg.rank([list(r) for r in self.rays])
+        # the dual's lineality space is the orthogonal complement of the span
+        return self.ambient_dim - len(self._dual[0])
 
     def is_full_dimensional(self) -> bool:
         return self.dim() == self.ambient_dim

@@ -194,7 +194,8 @@ class RationalFunction:
         if num.is_zero():
             den = Poly.constant(GaussianRational(1))
         else:
-            g = gcd(num, den)
+            # a constant denominator has gcd 1 with any numerator
+            g = gcd(num, den) if den.degree() >= 1 else den
             if g.degree() >= 1:
                 num = num.divmod(g)[0]
                 den = den.divmod(g)[0]

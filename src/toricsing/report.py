@@ -3,10 +3,14 @@
 Reports are plain JSON trees. Exact non-integer numbers travel as strings;
 lattice coordinates stay integers. Witnesses carry the violated equations
 so they can be replayed from the report alone, with no recomputation.
+
+``render_json`` writes ``json.dumps(report, sort_keys=True, indent=2)`` and
+a newline, from one list of pieces. Reports hold only str-keyed dicts, lists,
+tuples, str, int, bool and None; anything else raises a TypeError.
 """
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .checks import (
     CertifiedWitness,
@@ -14,7 +18,7 @@ from .checks import (
     NondegeneracyResult,
     Verdict,
 )
-from .errors import AnomalyDetected
+from .errors import AnomalyDetected, NotReportData
 from .family import AdmissibilityReport, StructuralWitness, Stratum
 from .newton import NewtonPolyhedron, PolyFace
 from .polynomials import Poly
@@ -29,10 +33,6 @@ SCHEMA = "toricsing-report/1"
 # building blocks
 # ---------------------------------------------------------------------------
 
-def _coeff_str(c) -> str:
-    return str(c)
-
-
 def equations_to_json(equations, names):
     out = []
     for terms in equations:
@@ -40,7 +40,7 @@ def equations_to_json(equations, names):
         for exp in sorted(terms):
             entry.append({
                 "exponent": list(exp),
-                "coefficient": _coeff_str(terms[exp]),
+                "coefficient": str(terms[exp]),
             })
         out.append({"variables": list(names), "terms": entry})
     return out
@@ -67,12 +67,12 @@ def witness_to_json(witness):
     }
     if isinstance(point, PointWitness):
         base["assignments"] = {
-            n: _coeff_str(v) for n, v in zip(point.names, point.values)
+            n: str(v) for n, v in zip(point.names, point.values)
         }
     elif isinstance(point, AlgebraicWitness):
-        base["modulus"] = [_coeff_str(c) for c in point.modulus.coeffs]
+        base["modulus"] = [str(c) for c in point.modulus.coeffs]
         base["assignments"] = {
-            n: [_coeff_str(c) for c in v.coeffs]
+            n: [str(c) for c in v.coeffs]
             for n, v in zip(point.names, point.values)
         }
     else:
@@ -231,7 +231,35 @@ def admissibility_to_json(report: AdmissibilityReport):
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    out = []
+    _emit(report, out, "\n")
+    return "".join(out) + "\n"
+
+
+def _emit(value, out, newline):
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None or isinstance(value, bool):
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        for n, key in enumerate(sorted(value)):
+            if not isinstance(key, str):
+                raise NotReportData(f"report key {key!r} is not a string")
+            out += ("," if n else "{", inner, _quote(key), ": ")
+            _emit(value[key], out, inner)
+        out.append(newline + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        for n, item in enumerate(value):
+            out += ("," if n else "[", inner)
+            _emit(item, out, inner)
+        out.append(newline + "]" if value else "[]")
+    else:
+        raise NotReportData(
+            f"cannot render {type(value).__name__} in a report")
 
 
 # ---------------------------------------------------------------------------
@@ -239,25 +267,31 @@ def render_json(report: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def iter_witnesses(node, path="report"):
-    """Yield (path, witness_dict) for every witness in a report tree."""
-    if isinstance(node, dict):
-        if "kind" in node and ("assignments" in node
-                               or node.get("kind") == "structural"):
-            yield path, node
-            return
-        for key, value in node.items():
-            yield from iter_witnesses(value, f"{path}.{key}")
-    elif isinstance(node, list):
-        for idx, value in enumerate(node):
-            yield from iter_witnesses(value, f"{path}[{idx}]")
+    """The (path, witness_dict) pairs of every witness in a report tree, in
+    document order. Leaves are never visited, so they get no path."""
+    found = []
+
+    def walk(node, path):
+        if isinstance(node, dict) and "kind" in node and (
+                "assignments" in node or node["kind"] == "structural"):
+            found.append((path, node))
+        elif isinstance(node, dict):
+            for key, value in node.items():
+                if isinstance(value, (dict, list)):
+                    walk(value, f"{path}.{key}")
+        elif isinstance(node, list):
+            for idx, value in enumerate(node):
+                if isinstance(value, (dict, list)):
+                    walk(value, f"{path}[{idx}]")
+
+    walk(node, path)
+    return found
 
 
 def replay_witnesses(report: dict):
     """Re-substitute every witness; returns [(path, ok)]."""
-    results = []
-    for path, data in iter_witnesses(report):
-        results.append((path, witness_from_json(data).replay()))
-    return results
+    return [(path, witness_from_json(data).replay())
+            for path, data in iter_witnesses(report)]
 
 
 # ---------------------------------------------------------------------------

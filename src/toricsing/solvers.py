@@ -22,8 +22,8 @@ Q(i)(t); the field is read off the coefficients, and over Q(i)(t) a
 solvable outcome carries no witness.
 
 Witnesses are exact Gaussian-rational points or algebraic points: values in
-Q(i)[s]/(m(s)) for a stored nonconstant modulus m, verified by polynomial
-arithmetic mod m. Both exact reductions to one variable (a support line and
+Q(i)[s]/(m(s)) for a stored nonconstant modulus m, verified from tables of
+powers mod m. Both exact reductions to one variable (a support line and
 a one-parameter substitution) end in one builder, ``_subgroup_witness``: it
 tries each Q(i) root s of the square-free modulus as the point s^direction,
 and otherwise returns s^direction mod m as an algebraic witness.
@@ -39,7 +39,7 @@ from . import linalg
 from .errors import AnomalyDetected
 from .linalg import dot, primitive
 from .polynomials import Poly, gcd as poly_gcd
-from .rationals import GaussianRational, gaussian_nth_root, gaussian_sqrt
+from .rationals import ZERO, GaussianRational, gaussian_nth_root, gaussian_sqrt
 
 EMPTY = "empty"          # no torus solution exists
 SOLVABLE = "solvable"    # a torus solution exists
@@ -96,10 +96,10 @@ class PointWitness:
 class AlgebraicWitness:
     """A torus point with coordinates in Q(i)[s]/(modulus).
 
-    The modulus is monic and nonconstant, so it has complex roots; every
-    root yields a genuine solution because the verification below works
-    modulo the modulus. Coordinates are certified nonzero by coprimality
-    with the modulus.
+    The modulus is nonconstant, so it has complex roots, and verification
+    divides it by its leading coefficient; every root yields a genuine
+    solution because the verification works modulo the modulus.
+    Coordinates are certified nonzero by coprimality with the modulus.
     """
 
     kind = "algebraic"
@@ -111,36 +111,32 @@ class AlgebraicWitness:
 
     def verify(self, equations) -> bool:
         m = self.modulus
-        if m.degree() < 1:
+        d = m.degree()
+        if d < 1 or any(v.is_zero() or poly_gcd(v, m).degree() >= 1
+                        for v in self.values):
             return False
-        for v in self.values:
-            if v.is_zero() or poly_gcd(v, m).degree() >= 1:
-                return False
-        inverses = {}
-
-        def inv(poly):
-            key = poly.coeffs
-            if key not in inverses:
-                r = _poly_mod_inverse(poly, m)
-                if r is None:
-                    return None
-                inverses[key] = r
-            return inverses[key]
-
+        # s^d = sum of t * s^k over (k, t) in tail, modulo m made monic
+        tail = [(k, ZERO - c / m.leading())
+                for k, c in enumerate(m.coeffs[:-1]) if not c.is_zero()]
+        tables = {}  # (j, e > 0) -> v_j^e for e = 1, 2, ... or -1, -2, ...
         for terms in equations:
-            total = Poly.constant(GaussianRational(0))
+            total = [ZERO] * d
             for exp, coeff in terms.items():
-                term = Poly.constant(coeff)
-                for v, e in zip(self.values, exp):
-                    e = int(e)
-                    if e == 0:
+                term = [coeff] + [ZERO] * (d - 1)
+                for j, (v, e) in enumerate(zip(self.values, map(int, exp))):
+                    if not e:
                         continue
-                    base = v if e > 0 else inv(v)
-                    if base is None:
-                        return False
-                    term = (term * _pow_mod(base, abs(e), m)) % m
-                total = (total + term) % m
-            if not total.is_zero():
+                    table = tables.get((j, e > 0))
+                    if table is None:
+                        v = v % m if e > 0 else _poly_mod_inverse(v, m)
+                        table = tables[j, e > 0] = [
+                            list(v.coeffs) + [ZERO] * (d - len(v.coeffs))]
+                    while len(table) < abs(e):
+                        table.append(_mul_mod(table[-1], table[0], tail))
+                    term = _mul_mod(term, table[abs(e) - 1], tail)
+                # residues of degree < d: their sum needs no reduction
+                total = [t + c for t, c in zip(total, term)]
+            if any(not t.is_zero() for t in total):
                 return False
         return True
 
@@ -151,16 +147,22 @@ class AlgebraicWitness:
         )
 
 
-def _pow_mod(base: Poly, e: int, m: Poly) -> Poly:
-    """base**e mod m for e >= 1, by square-and-multiply."""
-    result = None
-    while True:
-        if e & 1:
-            result = base if result is None else (result * base) % m
-        e >>= 1
-        if not e:
-            return result
-        base = (base * base) % m
+def _mul_mod(a, b, tail):
+    """a*b for residues as coefficient vectors of length d, where s^d is the
+    sum of t * s^k over the pairs (k, t) of tail."""
+    d = len(a)
+    prod = [ZERO] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if not x.is_zero():
+            for j, y in enumerate(b):
+                if not y.is_zero():
+                    prod[i + j] = prod[i + j] + x * y
+    for top in range(2 * d - 2, d - 1, -1):
+        c = prod[top]
+        if not c.is_zero():
+            for k, t in tail:
+                prod[top - d + k] = prod[top - d + k] + c * t
+    return prod[:d]
 
 
 def _poly_extended_gcd(a: Poly, b: Poly):
@@ -430,13 +432,11 @@ def _subgroup_witness(modulus, direction, names, equations):
     m = modulus
     if m.degree() < 1 or m.constant_term().is_zero():
         return None
-    s = Poly.variable() % m
-    s_inv = _poly_mod_inverse(s, m)
-    values = [
-        Poly.constant(GaussianRational(1)) if e == 0
-        else _pow_mod(s if e > 0 else s_inv, abs(int(e)), m)
-        for e in direction
-    ]
+    # s^|e| mod m, inverted mod m when e < 0 (s is a unit: m(0) != 0)
+    powers = [Poly([ZERO] * abs(int(e)) + [GaussianRational(1)]) % m
+              for e in direction]
+    values = [p if e >= 0 else _poly_mod_inverse(p, m)
+              for p, e in zip(powers, direction)]
     w = AlgebraicWitness(names, values, m)
     return w if w.verify(equations) else None
 

@@ -665,3 +665,32 @@ def test_hilbert_basis_of_non_simplicial_3d_cones():
             continue
         assert hilbert_basis(cone) == _brute_force_hilbert_basis(cone), cone
         cones += 1
+
+
+def test_dim_matches_the_rank_of_the_rays(monkeypatch):
+    # dim() is ambient_dim minus the dual's lineality, with no rank call;
+    # the reference is the rank of the canonical rays
+    rng = random.Random(61)
+    cones = [RationalCone(n, [(0,) * n]) for n in (2, 3, 4)]
+    while len(cones) < 300:
+        n = rng.choice([2, 3, 4])
+        rays = [tuple(rng.randint(-3, 3) for _ in range(n))
+                for _ in range(rng.randint(1, n + 2))]
+        if rng.random() < 0.4:  # flatten into the hyperplane x_n = x_1
+            rays = [r[:-1] + (r[0],) for r in rays]
+        try:
+            cone = RationalCone.from_rays(rays, n)
+        except EmptyInput:
+            continue
+        cones.append(cone)
+        if cone.rays and (cone.facet_normals() or cone.lineality_basis):
+            cones.append(dual_cone(cone))
+    expected = [linalg.rank([list(r) for r in c.rays]) if c.rays else 0
+                for c in cones]
+    monkeypatch.setattr(linalg, "rank", None)
+    assert [c.dim() for c in cones] == expected
+    kinds = {(c.ambient_dim, c.is_strongly_convex(), d == c.ambient_dim)
+             for c, d in zip(cones, expected)}
+    assert kinds == set(itertools.product((2, 3, 4), (True, False),
+                                          (True, False)))
+    assert {0} < set(expected)

@@ -420,3 +420,42 @@ def test_residue_map_is_a_ring_homomorphism():
     assert residue(gr(Fraction(1, p))) is None
     assert [z for z, _ in solvers._POOL_IMAGES] == solvers._SEARCH_POOL
     assert all(r == residue(z) and r != 0 for z, r in solvers._POOL_IMAGES)
+
+
+def test_rational_function_with_a_constant_denominator_skips_the_gcd(
+        monkeypatch):
+    # the normalized num/den equal the gcd path's, and no gcd runs when
+    # the denominator is a nonzero constant
+    from toricsing import polynomials
+
+    def gcd_path(num, den):
+        g = polynomials.gcd(num, den)
+        if g.degree() >= 1:
+            num, den = num.divmod(g)[0], den.divmod(g)[0]
+        lead = den.leading()
+        return num.scale(gr(1) / lead), den.scale(gr(1) / lead)
+
+    rng = random.Random(67)
+    cases = []
+    for _ in range(200):
+        num = Poly([gr(rng.randint(-5, 5), rng.randint(-2, 2))
+                    for _ in range(rng.randint(1, 4))])
+        den = Poly([GaussianRational(Fraction(rng.randint(1, 9),
+                                              rng.randint(1, 4)),
+                                     rng.randint(-2, 2))])
+        if not num.is_zero():
+            cases.append((num, den, gcd_path(num, den)))
+    gcd = polynomials.gcd
+    calls = []
+    monkeypatch.setattr(polynomials, "gcd",
+                        lambda a, b: calls.append(1) or gcd(a, b))
+    for num, den, (ref_num, ref_den) in cases:
+        f = RationalFunction(num, den)
+        assert (f.num, f.den) == (ref_num, ref_den)
+        assert f.den == Poly.constant(gr(1))
+    assert len(cases) >= 150 and not calls
+    # a nonconstant denominator still takes the gcd path
+    t = Poly([gr(0), gr(1)])
+    f = RationalFunction(t * t, t.scale(gr(2)))
+    assert calls and (f.num, f.den) == (t.scale(GaussianRational("1/2")),
+                                        Poly.constant(gr(1)))
