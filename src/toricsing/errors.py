@@ -59,10 +59,6 @@ class FaceMismatch(ToricError):
     """The face does not belong to the polyhedron it was used with."""
 
 
-class FaceEnumerationCapped(ToricError):
-    """Full face enumeration is not supported at this ambient dimension."""
-
-
 # ---- singularity checks ----
 
 class FaceNotEssential(ToricError):

@@ -7,8 +7,10 @@ so its dual cone is built without another pass. Face lattices are graded
 intersections of facet boundaries. A Hilbert basis comes from a triangulation
 over the face lattice: one Smith normal form per simplex lists its
 parallelepiped group, only componentwise-minimal numerators become lattice
-points, and facet values reduce their union with the rays. The ambient
-dimension is capped at 4: anything larger raises.
+points, and facet values reduce their union with the rays. A variety's
+lattice dimension is capped at AMBIENT_DIM_CAP = 4; a cone may have ambient
+dimension one more, since the homogenized Newton cone of a polynomial lives
+in R^(n+1). Anything larger raises.
 """
 from __future__ import annotations
 
@@ -29,12 +31,12 @@ from .linalg import dot, primitive, is_zero_vec
 AMBIENT_DIM_CAP = 4
 
 
-def _check_dim(n: int):
+def check_ambient_dim(n: int, cap: int = AMBIENT_DIM_CAP):
     if n < 1:
         raise EmptyInput("ambient dimension must be at least 1")
-    if n > AMBIENT_DIM_CAP:
+    if n > cap:
         raise AmbientDimTooLarge(
-            f"ambient dimension {n} exceeds the supported cap {AMBIENT_DIM_CAP}"
+            f"ambient dimension {n} exceeds the supported cap {cap}"
         )
 
 
@@ -219,7 +221,8 @@ class RationalCone:
     __slots__ = ("ambient_dim", "rays", "_own", "_dual")
 
     def __init__(self, ambient_dim, rays):
-        _check_dim(ambient_dim)
+        # one above the lattice cap: room for the homogenized Newton cone
+        check_ambient_dim(ambient_dim, AMBIENT_DIM_CAP + 1)
         cleaned = []
         for r in rays:
             if len(r) != ambient_dim:
@@ -405,12 +408,6 @@ def minimize(points, recession: RationalCone, w):
     d = min(values)
     argmin = tuple(sorted(p for p, val in zip(pts, values) if val == d))
     return d, argmin
-
-
-def in_cone_oracle(point, generators) -> bool:
-    """Independent membership test: exact phase-1 simplex, no dual cones."""
-    coeffs = linalg.nonneg_solve_exact([list(g) for g in generators], list(point))
-    return coeffs is not None
 
 
 # ---------------------------------------------------------------------------

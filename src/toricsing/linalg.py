@@ -4,11 +4,12 @@ Matrices are lists of rows. All elimination goes through one fraction-free
 Gauss–Jordan (Bareiss) core, ``_row_reduce``: rank, lattice coordinates and
 the adjugate behind inverses and double-description seeds stay in the
 integers, and ``solve_field_system`` runs it over Q(i) or Q(i)(t). Integer
-lattice work (Smith normal form, saturations) and the simplex membership
-oracle are separate algorithms. ``_power_product`` evaluates a character
-v^e, the one power loop behind torus solves, witness checks and torus
-points. Sizes are tiny (ambient dimension is capped at 4), so the
-implementations favour clarity and exactness over asymptotics.
+lattice work (Smith normal form, saturations) is a separate algorithm.
+``_power_product`` evaluates a character v^e, the one power loop behind
+torus solves, witness checks and torus points. Sizes are tiny (ambient
+dimension is at most 5, the homogenized Newton cone of a 4-dimensional
+lattice), so the implementations favour clarity and exactness over
+asymptotics.
 """
 from __future__ import annotations
 
@@ -312,74 +313,3 @@ def nonneg_int_combination(target, generators, functional):
     if rec(target, dot(functional, target), 0):
         return tuple(coeffs)
     return None
-
-
-# ---------------------------------------------------------------------------
-# exact feasibility LP (phase-1 simplex with Bland's rule)
-# ---------------------------------------------------------------------------
-
-def nonneg_solve_exact(columns, target):
-    """Decide whether target is a nonnegative rational combination of columns.
-
-    columns: list of equal-length integer/rational vectors. Returns a list of
-    Fraction coefficients or None. This is the independent membership oracle
-    for cone computations (simplex, not the dual description).
-    """
-    if not columns:
-        return [] if is_zero_vec(target) else None
-    m = len(target)
-    k = len(columns)
-    # rows of the tableau: A x + I s = b with b >= 0 after sign flips
-    a = [[Fraction(columns[j][i]) for j in range(k)] for i in range(m)]
-    b = [Fraction(x) for x in target]
-    for i in range(m):
-        if b[i] < 0:
-            b[i] = -b[i]
-            a[i] = [-x for x in a[i]]
-    # artificial variables get indices k..k+m-1
-    tableau = [a[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [b[i]]
-               for i in range(m)]
-    basis = list(range(k, k + m))
-    total = k + m
-
-    def objective_row():
-        # phase-1 objective: sum of artificial variables, expressed in the
-        # current basis
-        row = [Fraction(0)] * (total + 1)
-        for i, bi in enumerate(basis):
-            if bi >= k:
-                row = [r + c for r, c in zip(row, tableau[i])]
-        return row
-
-    obj = objective_row()
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 10000:
-            raise AnomalyDetected("simplex failed to terminate")
-        # artificial variables never re-enter; only the k original columns do
-        enter = next((j for j in range(k) if j not in basis and obj[j] > 0), None)
-        if enter is None:
-            break
-        ratios = [(tableau[i][total] / tableau[i][enter], basis[i], i)
-                  for i in range(m) if tableau[i][enter] > 0]
-        if not ratios:
-            break  # unbounded phase-1 cannot happen, but stay safe
-        _, _, leave = min(ratios, key=lambda t: (t[0], t[1]))
-        piv = tableau[leave][enter]
-        tableau[leave] = [x / piv for x in tableau[leave]]
-        for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leave])]
-        basis[leave] = enter
-        obj = objective_row()
-    if obj[total] != 0:
-        return None
-    coeffs = [Fraction(0)] * k
-    for i, bi in enumerate(basis):
-        if bi < k:
-            coeffs[bi] = tableau[i][total]
-        elif tableau[i][total] != 0:
-            return None
-    return coeffs

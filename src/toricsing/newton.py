@@ -9,8 +9,9 @@ The polyhedron conv(union of lambda + dual cone) is handled through its
 homogenization: the cone in R^{n+1} spanned by (lambda, 1) and (v, 0) for
 the recession rays v. Faces of the polyhedron correspond to faces of that
 cone which touch at least one support point, and every supporting normal
-(w, -d) automatically has w in sigma. Full enumeration therefore works for
-n <= 3 (cone dimension <= 4); for n = 4 only weight queries are available.
+(w, -d) automatically has w in sigma. The homogenized cone has dimension
+n + 1, one above the lattice cap, so faces are enumerated at every lattice
+dimension a variety can have.
 """
 from __future__ import annotations
 
@@ -19,11 +20,10 @@ from .errors import (
     ConstantTermForbidden,
     EmptyInput,
     EmptySupport,
-    FaceEnumerationCapped,
     FaceMismatch,
     WeightNotInSigma,
 )
-from .lattice import RationalCone, face_lattice, in_cone_oracle
+from .lattice import RationalCone, face_lattice
 from .linalg import dot
 from .polynomials import _is_zero
 from .rationals import GaussianRational
@@ -234,12 +234,7 @@ class NewtonPolyhedron:
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "support", tuple(form.support))
         object.__setattr__(self, "recession", variety.dual)
-        if variety.n + 1 <= 4:
-            self._enumerate()
-        else:
-            object.__setattr__(self, "_facets", None)
-            object.__setattr__(self, "_vertices", None)
-            object.__setattr__(self, "_faces", None)
+        self._enumerate()
 
     def __setattr__(self, name, value):
         raise AttributeError("NewtonPolyhedron is immutable")
@@ -297,20 +292,10 @@ class NewtonPolyhedron:
 
     @property
     def vertices(self):
-        if self._vertices is None:
-            raise FaceEnumerationCapped(
-                "full face enumeration is unavailable at this dimension; "
-                "use weight queries"
-            )
         return self._vertices
 
     @property
     def faces(self):
-        if self._faces is None:
-            raise FaceEnumerationCapped(
-                "full face enumeration is unavailable at this dimension; "
-                "use weight queries"
-            )
         return self._faces
 
     def face_of_weight(self, w) -> PolyFace:
@@ -332,11 +317,7 @@ class NewtonPolyhedron:
     def contains_lattice_point(self, lam) -> bool:
         """Exact membership of a lattice point in the polyhedron."""
         lam = tuple(int(x) for x in lam)
-        if self._facets is not None:
-            return all(dot(w, lam) >= d for (w, d) in self._facets)
-        gens = [s + (1,) for s in self.support]
-        gens += [tuple(v) + (0,) for v in self.recession.rays]
-        return in_cone_oracle(lam + (1,), gens)
+        return all(dot(w, lam) >= d for (w, d) in self._facets)
 
     def owns(self, face: PolyFace) -> bool:
         values = [dot(face.weight, s) for s in self.support]

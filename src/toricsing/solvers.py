@@ -729,22 +729,31 @@ def _separating_direction(exps, n_vars):
     """An integer direction giving distinct values on all exponents.
 
     Small directions keep the substituted polynomial (and hence any
-    algebraic witness modulus) small, so they are tried first.
+    algebraic witness modulus) small, so they are tried first. Coordinates
+    no exponent uses get 0; both searches run over the used ones only.
     """
-    if n_vars <= 6:
+    used = [i for i in range(n_vars) if any(e[i] for e in exps)]
+
+    def separating(entries):
+        mu = [0] * n_vars
+        for i, m in zip(used, entries):
+            mu[i] = m
+        mu = tuple(mu)
+        return mu if len({dot(mu, e) for e in exps}) == len(exps) else None
+
+    if len(used) <= 6:
         for bound in (1, 2, 3):
-            for mu in itertools.product(range(bound + 1), repeat=n_vars):
-                if all(m == 0 for m in mu):
-                    continue
-                proj = [dot(mu, e) for e in exps]
-                if len(set(proj)) == len(exps):
-                    return mu
+            for entries in itertools.product(range(bound + 1),
+                                             repeat=len(used)):
+                if any(entries):
+                    mu = separating(entries)
+                    if mu is not None:
+                        return mu
     spread = 1 + max(
         max(abs(x) for x in e) if e else 0 for e in exps
     )
     for b in range(spread, 4 * spread + 2):
-        mu = tuple(b ** i for i in range(n_vars))
-        proj = [dot(mu, e) for e in exps]
-        if len(set(proj)) == len(exps):
+        mu = separating([b ** k for k in range(len(used))])
+        if mu is not None:
             return mu
     raise AnomalyDetected("no separating direction found")

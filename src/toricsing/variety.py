@@ -19,7 +19,8 @@ from .errors import (
     ZeroTorusCoordinate,
 )
 from . import linalg
-from .lattice import RationalCone, dual_cone, face_lattice, hilbert_basis
+from .lattice import (RationalCone, check_ambient_dim, dual_cone,
+                      face_lattice, hilbert_basis)
 from .linalg import dot
 from .rationals import GaussianRational
 
@@ -142,7 +143,10 @@ def build_variety(sigma_rays=None, generators=None,
 
     warnings = []
     if sigma_rays is not None:
-        sigma = RationalCone.from_rays([tuple(r) for r in sigma_rays])
+        rays = [tuple(r) for r in sigma_rays]
+        if rays:
+            check_ambient_dim(len(rays[0]))
+        sigma = RationalCone.from_rays(rays)
         _require_pointed_full_dim(sigma)
         dual = dual_cone(sigma)
         basis = gens = hilbert_basis(dual)
@@ -150,6 +154,7 @@ def build_variety(sigma_rays=None, generators=None,
         gens = [tuple(int(x) for x in g) for g in generators]
         if not gens:
             raise EmptyInput("generator list is empty")
+        check_ambient_dim(len(gens[0]))
         dual = RationalCone.from_rays(gens)
         if not dual.is_full_dimensional():
             # sigma = dual of a lower-dimensional cone would not be pointed

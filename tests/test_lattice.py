@@ -16,6 +16,9 @@ from toricsing.errors import (
     UnboundedBelow,
 )
 from toricsing.lattice import RationalCone, dual_cone, face_lattice, hilbert_basis, minimize
+from toricsing.variety import build_variety
+
+from conftest import in_cone_oracle
 
 
 # The two staple fixtures used throughout: a planar cone whose dual is the
@@ -53,7 +56,12 @@ def test_dual_rejects_empty_and_big():
     with pytest.raises(EmptyInput):
         dual_cone(zero)
     with pytest.raises(AmbientDimTooLarge):
-        RationalCone.from_rays([(1, 0, 0, 0, 0)])
+        RationalCone.from_rays([(1, 0, 0, 0, 0, 0)])
+    # a 5-dimensional cone is only the homogenized Newton cone of a 4-fold;
+    # varieties stay capped at lattice dimension 4
+    sigma5 = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    with pytest.raises(AmbientDimTooLarge):
+        build_variety(sigma_rays=sigma5)
 
 
 def test_ray_canonicalization_removes_redundancy():
@@ -339,7 +347,7 @@ def test_membership_oracle_agrees_with_dual_description():
         n = rng.choice([2, 3])
         cone = random_pointed_cone(rng, n)
         v = tuple(rng.randint(-5, 5) for _ in range(n))
-        assert lattice.contains(cone, v) == lattice.in_cone_oracle(v, cone.rays)
+        assert lattice.contains(cone, v) == in_cone_oracle(v, cone.rays)
 
 
 def test_facet_normals_match_a_fresh_dualization():

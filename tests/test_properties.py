@@ -11,7 +11,7 @@ from toricsing.checks import (
     combine_verdicts,
     essential_noncompact_faces,
 )
-from toricsing.lattice import RationalCone, in_cone_oracle
+from toricsing.lattice import RationalCone
 from toricsing.rationals import GaussianRational
 from toricsing.newton import (
     ToricPolynomial,
@@ -22,7 +22,7 @@ from toricsing.newton import (
 )
 from toricsing.variety import build_variety
 
-from conftest import gr, random_polynomial, staircase
+from conftest import gr, in_cone_oracle, random_polynomial, staircase
 
 
 def variety_pool():

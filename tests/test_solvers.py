@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from toricsing.errors import AnomalyDetected
 from toricsing.linalg import _power_product, dot
 from toricsing.polynomials import Poly, RationalFunction
 from toricsing.rationals import GaussianRational
@@ -459,3 +460,62 @@ def test_rational_function_with_a_constant_denominator_skips_the_gcd(
     f = RationalFunction(t * t, t.scale(gr(2)))
     assert calls and (f.num, f.den) == (t.scale(GaussianRational("1/2")),
                                         Poly.constant(gr(1)))
+
+
+# ---------------------------------------------------------------------------
+# the curve-substitution direction
+# ---------------------------------------------------------------------------
+
+def _separating_direction_over_all_coordinates(exps, n_vars):
+    """The direction search as it was before unused coordinates were left
+    out: small directions over every coordinate up to six variables, else
+    (1, b, b^2, ...) over all of them."""
+    if n_vars <= 6:
+        for bound in (1, 2, 3):
+            for mu in itertools.product(range(bound + 1), repeat=n_vars):
+                if all(m == 0 for m in mu):
+                    continue
+                proj = [dot(mu, e) for e in exps]
+                if len(set(proj)) == len(exps):
+                    return mu
+    spread = 1 + max(
+        max(abs(x) for x in e) if e else 0 for e in exps
+    )
+    for b in range(spread, 4 * spread + 2):
+        mu = tuple(b ** i for i in range(n_vars))
+        proj = [dot(mu, e) for e in exps]
+        if len(set(proj)) == len(exps):
+            return mu
+    raise AnomalyDetected("no separating direction found")
+
+
+def test_separating_direction_unchanged_up_to_six_variables():
+    rng = random.Random(419)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        k = rng.randint(2, 5)
+        exps = sorted({
+            tuple(rng.randint(0, 4) if rng.random() < 0.5 else 0
+                  for _ in range(n))
+            for _ in range(k)
+        })
+        if len(exps) < 2:
+            continue
+        assert solvers._separating_direction(exps, n) == \
+            _separating_direction_over_all_coordinates(exps, n), exps
+
+
+@pytest.mark.parametrize("r", [8, 10])
+def test_curve_substitution_ignores_unused_coordinates(r):
+    # z1^2 + 7 z2^3 + 11 z1 z3 with r - 3 coordinates no term uses: the
+    # direction over all r coordinates gave moduli of degree 15 and powers
+    # s^16384 at r = 8, and did not finish at r = 9
+    def e(**powers):
+        return tuple(powers.get(f"z{i + 1}", 0) for i in range(r))
+
+    eq = {e(z1=2): gr(1), e(z2=3): gr(7), e(z1=1, z3=1): gr(11)}
+    mu = solvers._separating_direction(sorted(eq), r)
+    assert all(m == 0 for m in mu[3:])
+    out = decide_equation_system([eq], r)
+    assert out.status == SOLVABLE
+    assert out.witness is not None and out.witness.verify([eq])
