@@ -5,7 +5,8 @@ parameter t. "Small t" is operationalized exactly: the specialization at
 t = 0 is compared against the generic one (coefficients in the rational
 function field of t, treated as a transcendental), and the finitely many
 algebraic parameter values where some coefficient vanishes are reported as
-exceptional, not analyzed.
+exceptional, not analyzed. The generic Newton polyhedron reuses the face
+data of the t = 0 one when the two are the same polyhedron.
 """
 from __future__ import annotations
 
@@ -120,8 +121,7 @@ def exceptional_parameters(fam: FamilyPolynomial):
             continue
         work = squarefree_part(poly)
         roots = gaussian_roots(work)
-        for rt in roots:
-            values.add(rt)
+        values.update(roots)
         for rt in roots:
             x = Poly.variable()
             while work.degree() >= 1 and work.evaluate(rt).is_zero():
@@ -152,10 +152,11 @@ class StructuralWitness:
         return f"StructuralWitness({self.description})"
 
 
-def _newton_summary(g: ToricPolynomial):
+def _newton_summary(g: ToricPolynomial, like=None):
     """The Newton data of one specialization, built once and compared by
-    condition I, then analysed by condition II and the stratification."""
-    np_ = newton_polyhedron(g)
+    condition I, then analysed by condition II and the stratification; like
+    goes to newton_polyhedron."""
+    np_ = newton_polyhedron(g, like=like)
     split = vanishing_split(g)
     essential = essential_noncompact_faces(g, np=np_, split=split)
     # proper faces only: the improper face (weight 0) attains on the whole
@@ -203,7 +204,7 @@ def check_condition_I(fam: FamilyPolynomial):
                           "generically", witness),
             values, residuals, None,
         )
-    summary_generic = _newton_summary(generic)
+    summary_generic = _newton_summary(generic, summary_zero["polyhedron"])
     summaries = (summary_zero, summary_generic)
     differences = {}
     for key in ("vertices", "face_keys", "compact_keys", "essential_keys",

@@ -1,16 +1,17 @@
 """Exact rational cone geometry.
 
-Cones are given by primitive integer ray generators. Duality runs through an
-integer double description pass, seeded from an adjugate, when a cone is
-built; the cone keeps the canonical descriptions of itself and of its dual,
-so its dual cone is built without another pass. Face lattices are graded
-intersections of facet boundaries. A Hilbert basis comes from a triangulation
-over the face lattice: one Smith normal form per simplex lists its
-parallelepiped group, only componentwise-minimal numerators become lattice
-points, and facet values reduce their union with the rays. A variety's
-lattice dimension is capped at AMBIENT_DIM_CAP = 4; a cone may have ambient
-dimension one more, since the homogenized Newton cone of a polynomial lives
-in R^(n+1). Anything larger raises.
+Cones are given by primitive integer ray generators. A cone is dualized
+once, by an integer double description pass seeded from an adjugate, when it
+is built; its own canonical form comes from a redundancy filter over its
+generators against the dual's facet normals. The cone keeps both canonical
+descriptions, so its dual cone is built without another pass. Face lattices
+are graded intersections of facet boundaries. A Hilbert basis comes from a
+triangulation over the face lattice: one Smith normal form per simplex lists
+its parallelepiped group, only componentwise-minimal numerators become
+lattice points, and facet values reduce their union with the rays. A
+variety's lattice dimension is capped at AMBIENT_DIM_CAP = 4; a cone may
+have ambient dimension one more, since the homogenized Newton cone of a
+polynomial lives in R^(n+1). Anything larger raises.
 """
 from __future__ import annotations
 
@@ -152,15 +153,12 @@ def polar_description(generators, n):
         return basis, []
     basis, _, kernel = linalg.saturation_basis(gens)
     lineality = _canonical_lattice_basis(kernel) if kernel else []
-    rho = len(basis)
     # inequalities expressed in the row-space basis
     reduced = [tuple(dot(a, b) for b in basis) for a in gens]
-    rays_reduced = _pointed_extreme_rays(reduced, rho)
-    rays = []
-    for y in rays_reduced:
-        v = tuple(sum(y[j] * basis[j][i] for j in range(rho)) for i in range(n))
-        rays.append(primitive(v))
-    return lineality, sorted(set(rays))
+    rays_reduced = _pointed_extreme_rays(reduced, len(basis))
+    rays = {primitive(tuple(dot(y, col) for col in zip(*basis)))
+            for y in rays_reduced}
+    return lineality, sorted(rays)
 
 
 def _canonical_lattice_basis(vectors):
@@ -207,15 +205,55 @@ def _generators(lineality, rays):
     return tuple(rays) + tuple(l for v in lineality for l in (v, tuple(-x for x in v)))
 
 
+def _extreme_description(gens, dual, n):
+    """(lineality basis, pointed rays) of the cone spanned by the primitive
+    vectors gens, from its dual description, canonical as polar_description
+    makes them.
+
+    The lineality space L, the kernel of the dual's generators, is spanned
+    by the generators that every facet normal annihilates, so its lattice
+    is saturation_basis of those. A generator outside L spans an extreme
+    ray modulo L exactly when the facet normals vanishing on it have rank
+    dim - dim L - 1, and generators with one incidence set lie on one such
+    ray. Each ray is projected onto L^⊥ (det(BB^T)·g - B^T adj(BB^T) B g
+    for the basis rows B) and made primitive.
+    """
+    dual_lineality, normals = dual
+    incidence = {}
+    for g in gens:
+        incidence.setdefault(
+            frozenset(i for i, d in enumerate(normals) if dot(d, g) == 0), g)
+    everything = frozenset(range(len(normals)))
+    lineality = []
+    if everything in incidence:
+        inside = [g for g in gens if all(dot(d, g) == 0 for d in normals)]
+        lineality = _canonical_lattice_basis(linalg.saturation_basis(inside)[0])
+    target = n - len(dual_lineality) - len(lineality) - 1
+    rays = [g for inc, g in incidence.items() if inc != everything
+            and linalg.rank([normals[i] for i in inc]) == target]
+    if lineality:
+        det, adj = linalg.adjugate(
+            [[dot(u, v) for v in lineality] for u in lineality])
+
+        def project(g):
+            c = [dot(row, [dot(b, g) for b in lineality]) for row in adj]
+            return primitive(tuple(det * x - dot(c, col)
+                                   for x, col in zip(g, zip(*lineality))))
+        rays = map(project, rays)
+    return lineality, sorted(rays)
+
+
 class RationalCone:
     """A rational polyhedral cone given by primitive integer generators.
 
-    Construction canonicalizes: generators are replaced by the extreme rays
-    of the cone they span (plus a canonical basis of the lineality space, in
-    both signs, when the cone is not pointed), primitivized and sorted. Two
-    cones are equal exactly when their canonical data coincide. The cone
-    keeps both canonical descriptions, (lineality basis, pointed rays) of
-    itself and of its dual, so its dual needs no further dualization.
+    Construction canonicalizes with one dualization: generators are replaced
+    by the extreme rays of the cone they span, found by filtering them
+    against the dual's facet normals (plus a canonical basis of the
+    lineality space, in both signs, when the cone is not pointed),
+    primitivized and sorted. Two cones are equal exactly when their
+    canonical data coincide. The cone keeps both canonical descriptions,
+    (lineality basis, pointed rays) of itself and of its dual, so its dual
+    needs no further dualization.
     """
 
     __slots__ = ("ambient_dim", "rays", "_own", "_dual")
@@ -232,10 +270,8 @@ class RationalCone:
             p = primitive(r)
             if not is_zero_vec(p):
                 cleaned.append(p)
-        # canonical form via double dualization
         dual = polar_description(cleaned, ambient_dim)
-        own = polar_description(_generators(*dual), ambient_dim) \
-            if cleaned else ((), ())
+        own = _extreme_description(cleaned, dual, ambient_dim)
         self._describe(ambient_dim, own, dual)
 
     def _describe(self, ambient_dim, own, dual):

@@ -14,7 +14,6 @@ asymptotics.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import AnomalyDetected
 

@@ -11,7 +11,9 @@ the recession rays v. Faces of the polyhedron correspond to faces of that
 cone which touch at least one support point, and every supporting normal
 (w, -d) automatically has w in sigma. The homogenized cone has dimension
 n + 1, one above the lattice cap, so faces are enumerated at every lattice
-dimension a variety can have.
+dimension a variety can have. A polyhedron built like= the same polyhedron
+over another support (a family's t = 0 and generic specializations) takes
+its facets, vertices and face weights and enumerates nothing.
 """
 from __future__ import annotations
 
@@ -146,10 +148,7 @@ class LaurentForm:
         for lam, coeff in self.terms.items():
             term = coeff * xi.monomial(lam)
             total = term if total is None else total + term
-        if total is None:
-            sample = GaussianRational(0)
-            return sample
-        return total
+        return GaussianRational(0) if total is None else total
 
     def __repr__(self):
         return f"LaurentForm({len(self.terms)} terms, n={self.n})"
@@ -227,14 +226,34 @@ class NewtonPolyhedron:
     __slots__ = ("variety", "support", "recession", "form",
                  "_facets", "_vertices", "_faces")
 
-    def __init__(self, variety, form: LaurentForm):
+    def __init__(self, variety, form: LaurentForm, like=None):
         if form.is_zero():
             raise EmptySupport("the collected torus form has no terms")
         object.__setattr__(self, "variety", variety)
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "support", tuple(form.support))
         object.__setattr__(self, "recession", variety.dual)
-        self._enumerate()
+        support = set(self.support)
+        if (like is not None and like.variety is variety
+                and support.issuperset(like._vertices)
+                and all(like.contains_lattice_point(p) for p in support)):
+            # the same polyhedron: its facets, vertices and face weights
+            # carry over, and only the attaining sets depend on the support
+            facets, vertices = like._facets, like._vertices
+            weights = [(f.weight, f.value) for f in like._faces]
+        else:
+            facets, vertices, weights = self._enumerate()
+        faces = {}
+        for w, d in weights:
+            attaining = [s for s in self.support if dot(w, s) == d]
+            if attaining:
+                face = self._face_from_weight_data(w, d, attaining)
+                faces.setdefault(face.key(), face)
+        object.__setattr__(self, "_facets", facets)
+        object.__setattr__(self, "_vertices", vertices)
+        object.__setattr__(self, "_faces", tuple(sorted(
+            faces.values(), key=lambda f: (len(f.vertex_set), f.vertex_set,
+                                           f.noncompact_direction))))
 
     def __setattr__(self, name, value):
         raise AttributeError("NewtonPolyhedron is immutable")
@@ -242,36 +261,16 @@ class NewtonPolyhedron:
     # -- construction ----------------------------------------------------
 
     def _enumerate(self):
-        n = self.variety.n
+        """(facets, vertices, face weights (w, d)) of the homogenized cone;
+        a cone face with normal (w, -d) gives a face if d is attained."""
         gens = [s + (1,) for s in self.support]
         gens += [tuple(v) + (0,) for v in self.recession.rays]
-        cone = RationalCone(n + 1, gens)
-        vertices = tuple(
-            sorted(r[:-1] for r in cone.rays if r[-1] == 1)
-        )
-        facets = []
-        for normal in cone.facet_normals():
-            w, c = normal[:-1], normal[-1]
-            facets.append((w, -c))
-        faces = {}
-        for cf in face_lattice(cone):
-            normal = cf.supporting_normal
-            w, c = normal[:-1], normal[-1]
-            attaining = [
-                s for s in self.support if dot(w, s) + c == 0
-            ]
-            if not attaining:
-                continue
-            face = self._face_from_weight_data(w, -c, attaining)
-            faces.setdefault(face.key(), face)
-        ordered = sorted(
-            faces.values(),
-            key=lambda f: (len(f.vertex_set), f.vertex_set,
-                           f.noncompact_direction),
-        )
-        object.__setattr__(self, "_facets", tuple(facets))
-        object.__setattr__(self, "_vertices", vertices)
-        object.__setattr__(self, "_faces", tuple(ordered))
+        cone = RationalCone(self.variety.n + 1, gens)
+        vertices = tuple(sorted(r[:-1] for r in cone.rays if r[-1] == 1))
+        facets = tuple((a[:-1], -a[-1]) for a in cone.facet_normals())
+        weights = [(cf.supporting_normal[:-1], -cf.supporting_normal[-1])
+                   for cf in face_lattice(cone)]
+        return facets, vertices, weights
 
     def _face_from_weight_data(self, w, d, attaining):
         gens = self.variety.generators
@@ -320,9 +319,7 @@ class NewtonPolyhedron:
         return all(dot(w, lam) >= d for (w, d) in self._facets)
 
     def owns(self, face: PolyFace) -> bool:
-        values = [dot(face.weight, s) for s in self.support]
-        if not values:
-            return False
+        values = [dot(face.weight, s) for s in self.support]  # never empty
         d = min(values)
         attaining = tuple(sorted(
             s for s, val in zip(self.support, values) if val == d
@@ -336,11 +333,14 @@ class NewtonPolyhedron:
         )
 
 
-def newton_polyhedron(g: ToricPolynomial) -> NewtonPolyhedron:
+def newton_polyhedron(g: ToricPolynomial, like=None) -> NewtonPolyhedron:
+    """The Newton polyhedron of g. If like is the same polyhedron over the
+    same variety (say, with the same support), its face data are reused
+    instead of enumerated; g keeps its form and its own attaining sets."""
     form = torus_form(g)
     if form.is_zero():
         raise EmptySupport("the collected torus form has no terms")
-    return NewtonPolyhedron(g.variety, form)
+    return NewtonPolyhedron(g.variety, form, like)
 
 
 def face_of_weight(np: NewtonPolyhedron, w) -> PolyFace:
@@ -349,16 +349,11 @@ def face_of_weight(np: NewtonPolyhedron, w) -> PolyFace:
 
 def compact_boundary(np: NewtonPolyhedron):
     """All compact faces, each carrying an interior weight witness."""
-    out = []
-    for face in np.compact_faces():
-        gens = np.variety.generators
-        if not all(dot(face.weight, b) > 0 for b in gens):
-            raise AnomalyDetected(
-                "compact face witness must pair strictly positively with all "
-                "generators"
-            )
-        out.append(face)
-    return out
+    faces, gens = np.compact_faces(), np.variety.generators
+    if not all(dot(f.weight, b) > 0 for f in faces for b in gens):
+        raise AnomalyDetected("compact face witness must pair strictly "
+                              "positively with all generators")
+    return faces
 
 
 def face_function(g: ToricPolynomial, face: PolyFace, np=None):
@@ -369,14 +364,9 @@ def face_function(g: ToricPolynomial, face: PolyFace, np=None):
     own polyhedron as np to skip rebuilding it.
     """
     if np is None:
-        form = torus_form(g)
-        if (
-            face.parent is not None
-            and face.parent.variety is g.variety
-            and face.parent.support == tuple(form.support)
-        ):
-            np = face.parent
-        else:
+        np, form = face.parent, torus_form(g)
+        if (np is None or np.variety is not g.variety
+                or np.support != tuple(form.support)):
             np = NewtonPolyhedron(g.variety, form)
     if not np.owns(face):
         raise FaceMismatch("face does not belong to this polynomial")

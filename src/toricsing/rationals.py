@@ -18,9 +18,7 @@ from math import gcd, isqrt
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
 
@@ -68,22 +66,18 @@ class GaussianRational:
         if not s:
             raise ValueError("empty coefficient")
         m = re.fullmatch(
-            r"(?P<re>[+-]?\d+(?:/\d+)?)?"
-            r"(?P<im>(?:[+-]|(?<=^))(?:\d+(?:/\d+)?\*)?i)?",
+            r"(?P<re>(?P<a>[+-]?\d+)(?:/(?P<q>\d+))?)?"
+            r"(?P<im>(?P<sign>[+-]|(?<=^))(?:(?P<b>\d+)(?:/(?P<t>\d+))?\*)?i)?",
             s,
         )
-        if not m or (m.group("re") is None and m.group("im") is None):
+        if not m or (m["re"] is None and m["im"] is None):
             raise ValueError(f"malformed Gaussian rational: {text!r}")
-        re_part = Fraction(m.group("re")) if m.group("re") else Fraction(0)
-        im_txt = m.group("im")
-        if im_txt is None:
-            im_part = Fraction(0)
-        else:
-            sign = -1 if im_txt.startswith("-") else 1
-            body = im_txt.lstrip("+-")
-            body = body[:-1].rstrip("*")  # strip trailing 'i' and '*'
-            im_part = sign * (Fraction(body) if body else Fraction(1))
-        return GaussianRational(re_part, im_part)
+        a, q = int(m["a"] or 0), int(m["q"] or 1)
+        b, t = (int(m["b"] or 1), int(m["t"] or 1)) if m["im"] else (0, 1)
+        for num, den in ((a, q), (b, t)):
+            if den == 0:  # as Fraction(text) raises
+                raise ZeroDivisionError(f"Fraction({num}, 0)")
+        return _reduced(a * t, (-b if m["sign"] == "-" else b) * q, q * t)
 
     # -- predicates ----------------------------------------------------
 

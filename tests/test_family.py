@@ -1,4 +1,6 @@
+import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -323,3 +325,104 @@ def test_newton_data_built_once_per_specialization(
         "vanishing_split": specializations,
         "essential_noncompact_faces": specializations,
     }
+
+
+# z2^2 and z1*z3 both map to the lattice point (2, 2) of the staircase
+# cone(1, 0), (1, 1), (1, 2): generically their t-coefficients cancel, and
+# at t = 0 both terms drop, so the two torus supports agree
+CANCELLING = {"variety": {"generators": [[1, 0], [1, 1], [1, 2]]},
+              "family": "z1^3+t*z2^2-t*z1*z3+z3^2"}
+
+
+def _separately_enumerated(monkeypatch):
+    """Make family enumerate every specialization's Newton faces anew."""
+    monkeypatch.setattr(
+        family, "newton_polyhedron",
+        lambda g, like=None: newton.NewtonPolyhedron(
+            g.variety, newton.torus_form(g)))
+
+
+def _cli_outcome(problem, command, tmp_path, fmt="structured"):
+    path, out = tmp_path / "problem.json", tmp_path / "report"
+    path.write_text(json.dumps(problem), encoding="utf-8")
+    out.unlink(missing_ok=True)
+    code = main([command, "--input", str(path), "--format", fmt,
+                 "--report", str(out)])
+    return code, out.read_bytes() if out.exists() else b""
+
+
+def test_generic_polyhedron_shares_the_zero_faces_keeping_its_form(
+        monkeypatch, tmp_path):
+    v = build_variety(generators=CANCELLING["variety"]["generators"])
+    fam = parse_family(CANCELLING["family"], v)
+    condition_I = check_condition_I(fam)
+    assert condition_I[0].status == HOLDS
+    np0, npg = (s["polyhedron"] for s in condition_I[3])
+    assert npg.support == np0.support == ((2, 4), (3, 0))
+    assert npg.form.cancelled == ((2, 2),) and not np0.form.cancelled
+    assert npg.vertices == np0.vertices and npg.faces == np0.faces
+    assert all(f.parent is npg for f in npg.faces)
+    assert all(f.parent is np0 for f in np0.faces)
+    _, _, details = check_condition_II(fam, condition_I=condition_I)
+    assert details["nondeg_zero"].warnings == ()
+    assert details["nondeg_generic"].warnings == (
+        "coefficient cancellation at lattice points [(2, 2)]: excluded "
+        "from the support",)
+    cases = [(command, fmt) for command in ("family", "stratify")
+             for fmt in ("structured", "text")]
+    shared = [_cli_outcome(CANCELLING, command, tmp_path, fmt)
+              for command, fmt in cases]
+    _separately_enumerated(monkeypatch)
+    assert shared == [_cli_outcome(CANCELLING, command, tmp_path, fmt)
+                      for command, fmt in cases]
+    assert b"coefficient cancellation at lattice points [(2, 2)]" in shared[0][1]
+
+
+@pytest.mark.parametrize("command", ["family", "stratify"])
+def test_family_enumerates_newton_faces_once_per_support(
+        monkeypatch, tmp_path, command):
+    enumerations = []
+    enumerate_faces = newton.NewtonPolyhedron._enumerate
+
+    def counted(self):
+        enumerations.append(self.support)
+        return enumerate_faces(self)
+
+    monkeypatch.setattr(newton.NewtonPolyhedron, "_enumerate", counted)
+    counts = _count_calls(monkeypatch, [
+        newton.newton_polyhedron, checks.vanishing_split,
+        checks.essential_noncompact_faces,
+    ])
+    problem = Path(__file__).parent.parent / "problems" / \
+        "staircase_family.json"
+    assert main([command, "--input", str(problem),
+                 "--report", str(tmp_path / "out")]) == 0
+    assert len(enumerations) == 1
+    assert counts == {"newton_polyhedron": 2, "vanishing_split": 2,
+                      "essential_noncompact_faces": 2}
+
+
+def test_family_inputs_outside_the_corpus_exit_cleanly(monkeypatch,
+                                                       tmp_path):
+    # the warm-up problems bench/run.py draws for seeds 1..60: families
+    # outside the timed corpus, 20 per seed
+    sys.path.insert(0, str(Path(__file__).parent.parent / "bench"))
+    try:
+        import corpus
+    finally:
+        sys.path.pop(0)
+    timed = corpus.corpus("family_sweep", 1)
+    entries = [entry for seed in range(1, 61)
+               for entry in corpus.warmup("family_sweep", seed, timed, 12)]
+    assert len(entries) == 1200
+    outcomes = []
+    for entry in entries:
+        start = time.perf_counter()
+        outcomes.append(_cli_outcome(entry["problem"], entry["command"],
+                                     tmp_path))
+        assert time.perf_counter() - start < 1.0, entry
+        assert outcomes[-1][0] in (0, 2, 3), entry
+    _separately_enumerated(monkeypatch)
+    for entry, outcome in zip(entries, outcomes):
+        assert _cli_outcome(entry["problem"], entry["command"],
+                            tmp_path) == outcome, entry

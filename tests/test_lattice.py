@@ -210,12 +210,33 @@ def test_face_dimensions_read_off_the_lattice():
         assert sum((-1) ** k * fk for k, fk in enumerate(f_vector)) == 0
 
 
+# Non-pointed cones: a half-plane, a line, the whole plane, a half-space
+# of R^3, a wedge over a line in R^3 (with a repeated generator), and a
+# lower-dimensional half-plane in R^4
+NON_POINTED = [
+    [(1, 0), (-1, 0), (0, 1)],
+    [(2, 3), (-2, -3)],
+    [(1, 0), (0, 1), (-1, -1)],
+    [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (1, 1, 1), (2, 0, 3)],
+    [(1, 2, 0), (-1, -2, 0), (0, 0, 1), (3, 1, 1), (1, -1, 2), (3, 1, 1)],
+    [(1, 1, 0, 0), (-1, -1, 0, 0), (0, 1, 1, 0), (1, 2, 1, 0)],
+]
+
+
 def test_cone_path_makes_no_fraction(monkeypatch):
     def no_fraction(*args):
         raise AssertionError(f"Fraction{args} on the cone path")
 
-    monkeypatch.setattr(linalg, "Fraction", no_fraction)
+    assert not hasattr(linalg, "Fraction")  # linalg is integer-only
     monkeypatch.setattr(lattice, "Fraction", no_fraction)
+    for rays in NON_POINTED:  # the redundancy filter with a lineality space
+        cone = RationalCone.from_rays(rays)
+        assert cone.lineality_basis and not cone.is_strongly_convex()
+        for r in list(cone.rays) + rays:
+            assert cone.contains(r) and lattice.contains(cone, list(r))
+        for d in cone.facet_normals():
+            assert all(linalg.dot(d, v) == 0 for v in cone.lineality_basis)
+            assert any(linalg.dot(d, r) > 0 for r in cone.rays)
     for cone in _pool_cones():
         assert face_lattice(cone)[-1].dim == cone.dim() == cone.ambient_dim
         assert hilbert_basis(cone)
@@ -378,6 +399,83 @@ def test_facet_normals_match_a_fresh_dualization():
             assert set(c.dual_generators()) == set(pointed) | set(lin) | {
                 tuple(-x for x in v) for v in lin}
     assert lower >= 20 and lines >= 5
+
+
+def _double_dualization(generators, n):
+    """The canonical (lineality basis, pointed rays) of a cone and of its
+    dual as two dualizations find them: the dual of the generators, then
+    the dual of the dual's generators."""
+    polar = lattice.polar_description
+    dual = polar(generators, n)
+    own = polar(lattice._generators(*dual), n) if generators else ((), ())
+    return tuple(map(tuple, own)), tuple(map(tuple, dual))
+
+
+def _reference_pool(rng):
+    """Seeded generator lists in R^1..R^5: random lists (with repeated and
+    redundant generators, some flattened into a hyperplane, some with a
+    line added) and the homogenized Newton cones of random supports."""
+    varieties = [build_variety(sigma_rays=[(0, 1), (2, -1)]),
+                 build_variety(sigma_rays=[(0, 1), (5, -1)]),
+                 build_variety(generators=[(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+                 build_variety(sigma_rays=[(1, 0, 0), (0, 1, 0), (7, 9, 40)]),
+                 build_variety(generators=[
+                     tuple(int(i == j) for j in range(4)) for i in range(4)])]
+    pool = []
+    for k in range(360):
+        n = 1 + k % 5
+        gens = [tuple(rng.randint(-3, 3) for _ in range(n))
+                for _ in range(rng.randint(1, n + 3))]
+        if n > 1 and rng.random() < 0.3:  # into the hyperplane x_n = x_1
+            gens = [g[:-1] + (g[0],) for g in gens]
+        if rng.random() < 0.3:  # a line
+            gens += [gens[0], tuple(-x for x in gens[0])]
+        if rng.random() < 0.3:  # repeated and redundant generators
+            gens += [gens[-1], tuple(2 * x for x in gens[-1]),
+                     tuple(map(operator.add, gens[0], gens[-1]))]
+        pool.append((n, gens))
+    for k in range(120):
+        v = varieties[k % len(varieties)]
+        support = {tuple(sum(c * b[j] for c, b in zip(cs, v.generators))
+                         for j in range(v.n))
+                   for cs in ([rng.randint(0, 3) for _ in v.generators]
+                              for _ in range(rng.randint(1, 6)))}
+        support.discard((0,) * v.n)
+        gens = [s + (1,) for s in sorted(support)]
+        gens += [tuple(r) + (0,) for r in v.dual.rays]
+        pool.append((v.n + 1, gens))
+    return pool
+
+
+def test_canonical_form_matches_double_dualization(monkeypatch):
+    pool = _reference_pool(random.Random(67))
+    calls = []
+    polar = lattice.polar_description
+
+    def counted(generators, n):
+        calls.append(n)
+        return polar(generators, n)
+
+    monkeypatch.setattr(lattice, "polar_description", counted)
+    cones = []
+    for n, gens in pool:
+        del calls[:]
+        cone = RationalCone(n, gens)
+        assert calls == [n]  # one dualization per cone
+        cones.append((cone, [linalg.primitive(g) for g in gens if any(g)]))
+    monkeypatch.undo()
+    kinds = set()
+    for cone, cleaned in cones:
+        own, dual = _double_dualization(cleaned, cone.ambient_dim)
+        assert (cone._own, cone._dual) == (own, dual), cleaned
+        assert cone.rays == tuple(sorted(lattice._generators(*own)))
+        kinds.add((cone.ambient_dim, cone.is_strongly_convex(),
+                   cone.is_full_dimensional(), len(cleaned) > len(cone.rays)))
+    # every kind, each with redundant or repeated generators; in R^1 the
+    # only lower-dimensional cone is {0}
+    for n, pointed, full in itertools.product(range(1, 6), (True, False),
+                                              (True, False)):
+        assert (n, pointed, full, True) in kinds or (n, full) == (1, False)
 
 
 def test_polar_description_runs_one_smith_form(monkeypatch):

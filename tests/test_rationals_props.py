@@ -193,3 +193,82 @@ def test_constructor_rejects_other_types():
             GaussianRational(0, bad)
     assert GaussianRational(1).__eq__(1.0) is NotImplemented
     assert GaussianRational(1).__add__(1.0) is NotImplemented
+
+
+def _fraction_from_string(text):
+    """The value of a coefficient string as the parser read it when it went
+    through Fraction(str): the reference for the integer parser."""
+    import re
+    s = text.replace(" ", "")
+    m = re.fullmatch(r"(?P<re>[+-]?\d+(?:/\d+)?)?"
+                     r"(?P<im>(?:[+-]|(?<=^))(?:\d+(?:/\d+)?\*)?i)?", s)
+    if not s or not m or (m.group("re") is None and m.group("im") is None):
+        raise ValueError(text)
+    re_part = Fraction(m.group("re")) if m.group("re") else Fraction(0)
+    im_part = Fraction(0)
+    if m.group("im"):
+        body = m.group("im").lstrip("+-")[:-1].rstrip("*")
+        im_part = Fraction(body) if body else Fraction(1)
+        if m.group("im").startswith("-"):
+            im_part = -im_part
+    return re_part, im_part
+
+
+def _digits(draw, lo):
+    return draw(st.sampled_from(["", "0", "00"])) + str(
+        draw(st.integers(lo, 10 ** 25) | st.integers(lo, 60)))
+
+
+@st.composite
+def coefficient_strings(draw):
+    """Every shape from_string accepts: unreduced fractions, leading
+    zeros, explicit signs, a bare or scaled i, and spaces anywhere."""
+    def ratio():
+        den = "/" + _digits(draw, 1) if draw(st.booleans()) else ""
+        return _digits(draw, 0) + den
+
+    real = draw(st.sampled_from(["", "+", "-"])) + ratio() \
+        if draw(st.booleans()) else ""
+    imag = ""
+    if not real or draw(st.booleans()):
+        sign = draw(st.sampled_from(["+", "-"] + ([""] if not real else [])))
+        imag = sign + (ratio() + "*" if draw(st.booleans()) else "") + "i"
+    text = real + imag
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(text)))
+        text = text[:k] + " " + text[k:]
+    return text
+
+
+@reproducible
+@given(coefficient_strings())
+def test_from_string_agrees_with_fraction_parsing(text):
+    z = GaussianRational.from_string(text)
+    assert agrees(z, _fraction_from_string(text)) and normalized(z)
+
+
+@reproducible
+@given(values)
+def test_from_string_inverts_str(x):
+    z = gr(x)
+    assert GaussianRational.from_string(str(z)) == z
+
+
+MALFORMED = ["", " ", "2x", "x", "2i", "i2", "*i", "2**i", "i*i", "2*i*i",
+             "1/", "/2", "1//2", "++1", "+-1", "1+", "1-", "1+2", "1.5",
+             "1e3", "1_000", "0x10", "(1)", "1+i+i", "1*i+2", "1/2/3",
+             "\t1", "1\n"]
+
+
+def test_from_string_rejects_malformed_strings():
+    for text in MALFORMED:
+        with pytest.raises(ValueError):
+            _fraction_from_string(text)  # rejected before, too
+        with pytest.raises(ValueError):
+            GaussianRational.from_string(text)
+    for text in ("1/0", "-3/0+i", "2+1/0*i", "-0/0*i"):
+        with pytest.raises(ZeroDivisionError) as new:
+            GaussianRational.from_string(text)
+        with pytest.raises(ZeroDivisionError) as old:
+            _fraction_from_string(text)
+        assert str(new.value) == str(old.value)
