@@ -27,6 +27,10 @@ class UnboundedBelow(ToricError):
     """A linear functional has no minimum over the given polyhedron."""
 
 
+class MultiplicityTooLarge(ToricError):
+    """A simplex's parallelepiped group exceeds the Hilbert-basis bound."""
+
+
 # ---- toric model ----
 
 class NotMaximalDim(ToricError):

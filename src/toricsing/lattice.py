@@ -1,21 +1,26 @@
 """Exact rational cone geometry.
 
 Cones are given by primitive integer ray generators. A cone is dualized
-once, by an integer double description pass seeded from an adjugate, when it
-is built; its own canonical form comes from a redundancy filter over its
-generators against the dual's facet normals. The cone keeps both canonical
-descriptions, so its dual cone is built without another pass. Face lattices
-are graded intersections of facet boundaries. A Hilbert basis comes from a
-triangulation over the face lattice: one Smith normal form per simplex lists
-its parallelepiped group, only componentwise-minimal numerators become
-lattice points, and facet values reduce their union with the rays. A
-variety's lattice dimension is capped at AMBIENT_DIM_CAP = 4; a cone may
-have ambient dimension one more, since the homogenized Newton cone of a
-polynomial lives in R^(n+1). Anything larger raises.
+once when it is built, by an integer double description that carries each
+ray's set of tight inequalities, seeded from the elimination that finds the
+generators' rank; generators of lower rank are first moved into their
+saturated row space. Its own
+canonical form keeps the generators whose incidence sets with the dual's
+facet normals are maximal. The cone keeps both canonical descriptions, so
+its dual cone is built without another pass. Face lattices are built level
+by level: the facets of a face are the maximal intersections of it with the
+facets of the cone. A Hilbert basis comes from a triangulation over the
+face lattice: one Smith normal form per simplex lists its parallelepiped
+group, at most GROUP_ORDER_CAP elements, only componentwise-minimal
+numerators become lattice points, and facet values reduce their union with
+the rays. A variety's lattice dimension is capped at AMBIENT_DIM_CAP = 4; a
+cone may have ambient dimension one more, since the homogenized Newton cone
+of a polynomial lives in R^(n+1). Anything larger raises.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -23,6 +28,7 @@ from .errors import (
     AmbientDimTooLarge,
     AnomalyDetected,
     EmptyInput,
+    MultiplicityTooLarge,
     NotStronglyConvex,
     UnboundedBelow,
 )
@@ -30,6 +36,9 @@ from . import linalg
 from .linalg import dot, primitive, is_zero_vec
 
 AMBIENT_DIM_CAP = 4
+# a Hilbert basis lists each simplex's parallelepiped group, |det| elements;
+# at order 10^6 a 3-D basis takes about 1.3 s and 250 MB, at 4.5·10^6 1.1 GB
+GROUP_ORDER_CAP = 10**6
 
 
 def check_ambient_dim(n: int, cap: int = AMBIENT_DIM_CAP):
@@ -91,53 +100,49 @@ def _coords(v):
 # ---------------------------------------------------------------------------
 
 def _pointed_extreme_rays(ineqs, dim):
-    """Extreme rays of {y in R^dim : <a, y> >= 0 for all a in ineqs}.
+    """Extreme rays of {y in R^dim : <a, y> >= 0 for all a in ineqs}, as
+    primitive integer rays, or None when the inequalities have rank below
+    dim (the solution cone is then not pointed).
 
-    The inequality matrix must have full column rank (pointed result).
-    Returns primitive integer rays.
+    Each ray carries its tight set: the bits of the inequalities processed
+    so far that vanish on it, less those that cut nothing off (the rest
+    still define the cone). A ray made from p and q on the k-th inequality
+    is tight exactly on tight(p) & tight(q) plus k: both p and q pair
+    nonnegatively with every earlier inequality, and with positive and
+    negative values with the k-th (Fukuda–Prodon, 1996).
     """
-    # the pivot columns of the transposed system are the first dim
-    # independent inequalities; they seed a simplicial cone
-    pivots = linalg._row_reduce(
-        [[a[i] for a in ineqs] for i in range(dim)], len(ineqs))
+    # eliminating [A^T | I] turns the columns of the first dim independent
+    # inequalities into c·I, so the tail e_j of row j pairs to c·delta_{kj}
+    # with them: sign(c)·e_j is the seed ray tight on all of them but the j-th
+    m = len(ineqs)
+    aug = [[a[i] for a in ineqs] + [int(i == j) for j in range(dim)]
+           for i in range(dim)]
+    pivots = linalg._row_reduce(aug, m)
     if len(pivots) < dim:
-        raise AnomalyDetected("inequality system is not pointed")
-    chosen = [tuple(ineqs[k]) for k in pivots]
-    rest = [tuple(a) for k, a in enumerate(ineqs) if k not in pivots]
-    processed = list(chosen)
+        return None
+    order = pivots + [k for k in range(m) if k not in pivots]
+    c = aug[0][pivots[0]]
+    rays = {primitive([x if c > 0 else -x for x in row[m:]]):
+            ((1 << dim) - 1) ^ (1 << j) for j, row in enumerate(aug)}
 
-    # seed rays r_j with <a_k, r_j> = delta_{kj}: the columns of the
-    # inverse adj / d, so sign(d) times a column of adj lies on r_j
-    d, adj = linalg.adjugate(chosen)
-    rays = [primitive(linalg.scale_vec(-1 if d < 0 else 1, col))
-            for col in zip(*adj)]
-
-    def active_set(r):
-        return frozenset(i for i, a in enumerate(processed) if dot(a, r) == 0)
-
-    for a in rest:
-        processed.append(a)
-        pos = [r for r in rays if dot(a, r) > 0]
-        zero = [r for r in rays if dot(a, r) == 0]
-        neg = [r for r in rays if dot(a, r) < 0]
+    for k in range(dim, m):
+        a, bit = ineqs[order[k]], 1 << k
+        values = {r: dot(a, r) for r in rays}
+        neg = [r for r, x in values.items() if x < 0]
         if not neg:
             continue
-        active = {r: active_set(r) for r in rays}
-        new_rays = []
+        pos = [r for r, x in values.items() if x > 0]
+        new_rays = {r: t | bit for r, t in rays.items() if values[r] == 0}
         for p, q in itertools.product(pos, neg):
-            common = active[p] & active[q]
-            adjacent = not any(
-                r is not p and r is not q and common <= active[r] for r in rays
-            )
-            if not adjacent:
+            common = rays[p] & rays[q]
+            # p, q span a 2-face iff no other ray is tight wherever both are
+            if any(t & common == common and r is not p and r is not q
+                   for r, t in rays.items()):
                 continue
-            w = primitive(linalg.sub_vec(
-                linalg.scale_vec(dot(a, p), q), linalg.scale_vec(dot(a, q), p)
-            ))
-            if not is_zero_vec(w) and w not in new_rays:
-                new_rays.append(w)
-        rays = pos + zero + new_rays
-    return sorted(set(rays))
+            w = [values[p] * y - values[q] * x for x, y in zip(p, q)]
+            new_rays[primitive(w)] = common | bit
+        rays = {r: rays[r] for r in pos} | new_rays
+    return sorted(rays)
 
 
 def polar_description(generators, n):
@@ -145,30 +150,31 @@ def polar_description(generators, n):
 
     Returns (lineality_basis, pointed_rays), both lists of primitive integer
     vectors. The pointed rays live in the orthogonal complement of the
-    lineality space, which makes the pair canonical.
+    lineality space, which makes the pair canonical. Generators of full
+    rank give a pointed cone, dualized directly; otherwise the dual is
+    found in the saturated row space of the generators and carried back.
     """
     gens = [tuple(int(x) for x in g) for g in generators if not is_zero_vec(g)]
     if not gens:
         basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
         return basis, []
+    rays = _pointed_extreme_rays(gens, n)
+    if rays is not None:
+        return [], rays
     basis, _, kernel = linalg.saturation_basis(gens)
-    lineality = _canonical_lattice_basis(kernel) if kernel else []
-    # inequalities expressed in the row-space basis
+    # inequalities expressed in the row-space basis, where they have full rank
     reduced = [tuple(dot(a, b) for b in basis) for a in gens]
-    rays_reduced = _pointed_extreme_rays(reduced, len(basis))
     rays = {primitive(tuple(dot(y, col) for col in zip(*basis)))
-            for y in rays_reduced}
-    return lineality, sorted(rays)
+            for y in _pointed_extreme_rays(reduced, len(basis))}
+    return _canonical_lattice_basis(kernel), sorted(rays)
 
 
 def _canonical_lattice_basis(vectors):
     """Hermite-style canonical basis of the lattice spanned by vectors."""
-    rows = [list(v) for v in vectors]
-    if not rows:
+    mat = [list(v) for v in vectors]  # row echelon: Hermite form, row style
+    if not mat:
         return []
-    n = len(rows[0])
-    # integer row echelon (Hermite normal form, row style)
-    mat = [row[:] for row in rows]
+    n = len(mat[0])
     r = 0
     for c in range(n):
         piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
@@ -205,32 +211,39 @@ def _generators(lineality, rays):
     return tuple(rays) + tuple(l for v in lineality for l in (v, tuple(-x for x in v)))
 
 
-def _extreme_description(gens, dual, n):
+def _extreme_description(gens, dual):
     """(lineality basis, pointed rays) of the cone spanned by the primitive
     vectors gens, from its dual description, canonical as polar_description
     makes them.
 
-    The lineality space L, the kernel of the dual's generators, is spanned
-    by the generators that every facet normal annihilates, so its lattice
-    is saturation_basis of those. A generator outside L spans an extreme
-    ray modulo L exactly when the facet normals vanishing on it have rank
-    dim - dim L - 1, and generators with one incidence set lie on one such
-    ray. Each ray is projected onto L^⊥ (det(BB^T)·g - B^T adj(BB^T) B g
-    for the basis rows B) and made primitive.
+    The incidence set I(g) holds the facet normals vanishing on g. The
+    lineality space L is spanned by the generators with every facet in
+    I(g), so its lattice is saturation_basis of those. A generator g
+    outside L spans a ray modulo L iff I(g) is maximal among the incidence
+    sets of the generators outside L. Proof: the smallest face F(g)
+    containing g is the intersection of the facets in I(g), and every face
+    is the intersection of the facets containing it, so I(g) ⊇ I(h) iff
+    F(g) ⊆ F(h). The rays modulo L are the faces minimal among those other
+    than L, and each is F(h) for a generator h in it outside L. If F(g) is
+    a ray and I(h) ⊇ I(g) with h outside L, then L ≠ F(h) ⊆ F(g) forces
+    F(h) = F(g); if F(g) is not a ray, it contains one, F(h), and
+    I(h) ⊋ I(g). Generators with one incidence set lie on one ray; one is
+    kept, projected onto L^⊥ (det(BB^T)·g - B^T adj(BB^T) B g for the
+    basis rows B) and made primitive.
     """
-    dual_lineality, normals = dual
-    incidence = {}
+    normals = dual[1]
+    everything = (1 << len(normals)) - 1
+    incidence, inside = {}, []
     for g in gens:
-        incidence.setdefault(
-            frozenset(i for i, d in enumerate(normals) if dot(d, g) == 0), g)
-    everything = frozenset(range(len(normals)))
-    lineality = []
-    if everything in incidence:
-        inside = [g for g in gens if all(dot(d, g) == 0 for d in normals)]
-        lineality = _canonical_lattice_basis(linalg.saturation_basis(inside)[0])
-    target = n - len(dual_lineality) - len(lineality) - 1
-    rays = [g for inc, g in incidence.items() if inc != everything
-            and linalg.rank([normals[i] for i in inc]) == target]
+        inc = sum(1 << i for i, d in enumerate(normals) if dot(d, g) == 0)
+        if inc == everything:
+            inside.append(g)
+        else:
+            incidence.setdefault(inc, g)
+    lineality = (_canonical_lattice_basis(linalg.saturation_basis(inside)[0])
+                 if inside else [])
+    rays = [g for inc, g in incidence.items()
+            if not any(other & inc == inc != other for other in incidence)]
     if lineality:
         det, adj = linalg.adjugate(
             [[dot(u, v) for v in lineality] for u in lineality])
@@ -271,7 +284,7 @@ class RationalCone:
             if not is_zero_vec(p):
                 cleaned.append(p)
         dual = polar_description(cleaned, ambient_dim)
-        own = _extreme_description(cleaned, dual, ambient_dim)
+        own = _extreme_description(cleaned, dual)
         self._describe(ambient_dim, own, dual)
 
     def _describe(self, ambient_dim, own, dual):
@@ -381,41 +394,30 @@ def dual_cone(cone: RationalCone) -> RationalCone:
 
 
 def face_lattice(cone: RationalCone):
-    """All faces of a strongly convex cone, from {0} up to the cone itself."""
+    """All faces of a strongly convex cone, from {0} up to the cone itself.
+
+    Faces are ray sets, found level by level from the cone down
+    (Kaibel–Pfetsch, 2002): every face of a face F is F ∩ B for facet ray
+    sets B, so the facets of F are the maximal sets among the F ∩ B with
+    B not containing F, one dimension below F.
+    """
     if not cone.is_strongly_convex():
         raise NotStronglyConvex("face lattice requires a pointed cone")
-    rays = cone.rays
-    normals = cone.facet_normals()
-    boundary = {d: frozenset(r for r in rays if dot(d, r) == 0) for d in normals}
-    face_sets = {frozenset(rays)}
-    frontier = set(boundary.values())
-    face_sets |= frontier
-    while frontier:
-        new = set()
-        for f in frontier:
-            for g in list(face_sets):
-                h = f & g
-                if h not in face_sets:
-                    new.add(h)
-        face_sets |= new
-        frontier = new
-    if rays and frozenset() not in face_sets:
-        face_sets.add(frozenset())
-
-    dims = {}  # graded: dim F = 1 + max dim of the faces inside F, dim {0} = 0
-    for fs in sorted(face_sets, key=len):
-        dims[fs] = max((dims[g] + 1 for g in dims if g < fs), default=0)
-    faces = []
-    for fs in face_sets:
-        members = sorted(fs)
-        if fs == frozenset(rays):
-            normal = tuple(0 for _ in range(cone.ambient_dim))
-        else:
-            active = [d for d in normals if boundary[d] >= fs]
-            normal = primitive(tuple(
-                sum(d[i] for d in active) for i in range(cone.ambient_dim)
-            ))
-        faces.append(ConeFace(cone, members, dims[fs], normal))
+    rays, normals = cone.rays, cone.facet_normals()
+    boundary = [sum(1 << i for i, r in enumerate(rays) if dot(d, r) == 0)
+                for d in normals]
+    faces, level, dim = [], {(1 << len(rays)) - 1}, cone.dim()
+    while level:
+        for f in level:
+            active = [d for d, b in zip(normals, boundary) if b & f == f]
+            faces.append(ConeFace(
+                cone, [r for i, r in enumerate(rays) if f >> i & 1], dim,
+                primitive([sum(d[i] for d in active)
+                           for i in range(cone.ambient_dim)])))
+        cuts = [{f & b for b in boundary if f & b != f} for f in level]
+        level = {c for below in cuts for c in below
+                 if not any(c & e == c != e for e in below)}
+        dim -= 1
     faces.sort(key=lambda f: (f.dim, f.rays))
     return faces
 
@@ -460,8 +462,7 @@ def hilbert_basis(cone: RationalCone):
         raise NotStronglyConvex("Hilbert basis requires a pointed cone")
     if not cone.rays:
         return []
-    d = cone.dim()
-    n = cone.ambient_dim
+    d, n = cone.dim(), cone.ambient_dim
     if d < n:
         basis, _, _ = linalg.saturation_basis([list(r) for r in cone.rays])
         reduced_rays = []
@@ -543,6 +544,10 @@ def _minimal_group_points(simplex_rays):
     diag = [s[k][k] for k in range(d)]
     if any(x == 0 for x in diag):
         raise AnomalyDetected("simplex rays are linearly dependent")
+    if math.prod(diag) > GROUP_ORDER_CAP:
+        raise MultiplicityTooLarge(
+            f"a simplex of multiplicity {math.prod(diag)} exceeds the "
+            f"Hilbert-basis bound {GROUP_ORDER_CAP}")
     big = diag[-1]
     coord = [[0] for _ in range(d)]  # coordinate i of every numerator
     for k, x in enumerate(diag):

@@ -1,8 +1,8 @@
 """Exact linear algebra.
 
 Matrices are lists of rows. All elimination goes through one fraction-free
-Gauss–Jordan (Bareiss) core, ``_row_reduce``: rank, lattice coordinates and
-the adjugate behind inverses and double-description seeds stay in the
+Gauss–Jordan (Bareiss) core, ``_row_reduce``: rank, lattice coordinates,
+double-description seeds and the adjugate behind inverses stay in the
 integers, and ``solve_field_system`` runs it over Q(i) or Q(i)(t). Integer
 lattice work (Smith normal form, saturations) is a separate algorithm.
 ``_power_product`` evaluates a character v^e, the one power loop behind
@@ -14,6 +14,7 @@ asymptotics.
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import AnomalyDetected
 
@@ -23,30 +24,21 @@ from .errors import AnomalyDetected
 # ---------------------------------------------------------------------------
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def vector_gcd(v) -> int:
-    g = 0
-    for x in v:
-        g = math.gcd(g, abs(int(x)))
-    return g
+    return math.gcd(*map(int, v))
 
 
 def primitive(v):
     """Divide an integer vector by the gcd of its entries (0 stays 0)."""
-    g = vector_gcd(v)
-    if g == 0:
-        return tuple(0 for _ in v)
+    g = vector_gcd(v) or 1
     return tuple(int(x) // g for x in v)
 
 
 def sub_vec(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def scale_vec(c, v):
-    return tuple(c * a for a in v)
 
 
 def is_zero_vec(v):
@@ -80,12 +72,11 @@ def _row_reduce(aug, n):
     and the rows below are zero in the first n columns. So [A | I] with A
     square and nonsingular becomes [det A · I | adj A].
     """
-    from operator import floordiv, truediv
     ints = all(type(x) is int for row in aug for x in row)
     if not ints:
         z = next(x - x for row in aug for x in row if type(x) is not int)
         aug[:] = [[x + z if type(x) is int else x for x in row] for row in aug]
-    div = floordiv if ints else truediv
+    div = operator.floordiv if ints else operator.truediv
     pivots, prev = [], 1
     for c in range(n):
         r = len(pivots)

@@ -459,3 +459,25 @@ def test_witness_replay_runs_under_optimize(program, exit_code):
     assert proc.returncode == exit_code, proc.stderr
     if exit_code == 1:
         assert "failed replay" in proc.stderr
+
+
+def _limit_memory():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_hilbert_basis_over_the_bound_exits_1(tmp_path):
+    # the dual of this 4-fold's sigma is a simplex whose parallelepiped
+    # group has order 211^3; listing it once exhausted memory (exit 4)
+    rays = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 2, 3, 211]]
+    path = write_problem(tmp_path, {"variety": {"sigma_rays": rays}})
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricsing.cli", "hilbert", "--input", path],
+        env=env, capture_output=True, text=True, timeout=10,
+        preexec_fn=_limit_memory)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ("error: a simplex of multiplicity 9393931 exceeds "
+                           "the Hilbert-basis bound 1000000\n")
+    assert not proc.stdout

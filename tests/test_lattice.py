@@ -4,18 +4,24 @@ import math
 import operator
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from toricsing import lattice, linalg
 from toricsing.errors import (
     AmbientDimTooLarge,
     AnomalyDetected,
     EmptyInput,
+    MultiplicityTooLarge,
     NotStronglyConvex,
     UnboundedBelow,
 )
 from toricsing.lattice import RationalCone, dual_cone, face_lattice, hilbert_basis, minimize
+from toricsing.newton import newton_polyhedron
+from toricsing.parser import parse_problem
 from toricsing.variety import build_variety
 
 from conftest import in_cone_oracle
@@ -478,6 +484,105 @@ def test_canonical_form_matches_double_dualization(monkeypatch):
         assert (n, pointed, full, True) in kinds or (n, full) == (1, False)
 
 
+def _pair(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _primitive_int(v):
+    g = math.gcd(*v) or 1
+    return tuple(x // g for x in v)
+
+
+def _brute_force_facet_normals(gens, n):
+    """Reference facet normals of cone(gens) in R^n, of dimension k: for
+    every k - 1 generators of sympy rank k - 1, the primitive normal of
+    their span inside span(gens), kept when every generator pairs
+    nonnegatively with it (after a sign) and one positively."""
+    gens = sorted({_primitive_int(g) for g in gens if any(g)})
+    if not gens:
+        return []
+    perp = [list(v) for v in sympy.Matrix(gens).nullspace()]
+    k = n - len(perp)
+    found, tight_sets = set(), []
+    for subset in itertools.combinations(gens, k - 1):
+        # a subset inside a hyperplane already seen spans no new one
+        if any(set(subset) <= t for t in tight_sets):
+            continue
+        rows = [list(g) for g in subset] + perp
+        null = sympy.Matrix(len(rows), n, sum(rows, [])).nullspace()
+        if len(null) != 1:  # rank below n - 1: the subset is dependent
+            continue
+        scale = sympy.ilcm(1, *(x.q for x in null[0]))
+        normal = _primitive_int([int(x * scale) for x in null[0]])
+        values = [_pair(normal, g) for g in gens]
+        tight_sets.append({g for g, x in zip(gens, values) if x == 0})
+        if min(values) < 0 < max(values):
+            continue
+        found.add(normal if max(values) > 0
+                  else tuple(-x for x in normal))
+    return sorted(found)
+
+
+def _oracle_pool():
+    pool = _reference_pool(random.Random(67))
+    pool += [(len(rays[0]), rays) for rays in NON_POINTED]
+    return pool
+
+
+def test_facet_normals_match_a_brute_force_oracle():
+    # an oracle sharing nothing with the double description: facets as
+    # spans of generators, ranks and normals from sympy
+    kinds = set()
+    for n, gens in _oracle_pool():
+        cone = RationalCone(n, gens)
+        assert list(cone.facet_normals()) == _brute_force_facet_normals(
+            gens, n), (n, gens)
+        kinds.add((cone.is_strongly_convex(), cone.is_full_dimensional()))
+    assert kinds == set(itertools.product((True, False), (True, False)))
+
+
+def test_face_lattice_matches_intersections_of_facets():
+    cones = [c for n, gens in _oracle_pool()
+             for c in [RationalCone(n, gens)] if c.is_strongly_convex()]
+    cones += [dual_cone(c) for c in cones if c.is_full_dimensional()]
+    for cone in cones:
+        facets = [frozenset(r for r in cone.rays if _pair(d, r) == 0)
+                  for d in cone.facet_normals()]
+        expected = {frozenset(cone.rays)}
+        for b in facets:
+            expected |= {f & b for f in expected}
+        faces = face_lattice(cone)
+        assert {frozenset(f.rays) for f in faces} == expected, cone
+        assert len(faces) == len(expected)
+        for face in faces:
+            rank = (DomainMatrix.from_list(face.rays, sympy.ZZ).rank()
+                    if face.rays else 0)
+            assert face.dim == rank, (cone, face)
+    assert {c.dim() for c in cones} == {0, 1, 2, 3, 4, 5}
+
+
+def test_full_rank_cones_skip_the_lattice_change(monkeypatch):
+    problem = parse_problem(
+        Path(__file__).parent.parent / "problems" / "surface_quartic.json")
+    newton = newton_polyhedron(problem.polynomial)
+    calls = []
+
+    def counted(name, original):
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+        return call
+
+    for name in ("smith_normal_form", "saturation_basis", "rank"):
+        monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
+    sigma = RationalCone.from_rays([(0, 1), (2, -1)])
+    enumerated = newton._enumerate()
+    assert calls == []
+    assert sigma.rays == ((0, 1), (2, -1))
+    assert sigma.facet_normals() == ((1, 0), (1, 2))
+    assert enumerated[:2] == (newton._facets, newton._vertices)
+
+
 def test_polar_description_runs_one_smith_form(monkeypatch):
     calls = []
     smith = linalg.smith_normal_form
@@ -720,6 +825,17 @@ def test_hilbert_basis_of_the_large_baseline_cones():
     assert spatial[-3:] == [(113, 1, -4), (143, 0, -5), (200, 0, -7)]
     assert hashlib.sha256(repr(spatial).encode()).hexdigest().startswith(
         "797f270e4936d612")
+
+
+def test_hilbert_basis_refuses_groups_over_the_bound(monkeypatch):
+    # the dual of cone(e1, e2, (7, 9, 200)) is one simplex of order 40000
+    dual = dual_cone(RationalCone.from_rays([(1, 0, 0), (0, 1, 0),
+                                             (7, 9, 200)]))
+    monkeypatch.setattr(lattice, "GROUP_ORDER_CAP", 39999)
+    with pytest.raises(MultiplicityTooLarge, match="multiplicity 40000"):
+        hilbert_basis(dual)
+    monkeypatch.setattr(lattice, "GROUP_ORDER_CAP", 40000)
+    assert len(hilbert_basis(dual)) == 46
 
 
 def _brute_force_hilbert_basis(cone):
