@@ -13,7 +13,6 @@ from .lattice import (
     ConeFace,
     RationalCone,
     RationalVector,
-    contains,
     dual_cone,
     face_lattice,
     hilbert_basis,
@@ -27,19 +26,15 @@ from .variety import (
     embed,
     embed_restricted,
     orbit_dimension,
-    valid_index_sets,
 )
 from .newton import (
     LaurentForm,
     NewtonPolyhedron,
     PolyFace,
     ToricPolynomial,
-    compact_boundary,
     face_function,
-    face_of_weight,
     newton_polyhedron,
     torus_form,
-    weight_transport,
 )
 from .checks import (
     EssentialFace,
@@ -60,7 +55,6 @@ from .family import (
     check_admissibility,
     check_condition_I,
     check_condition_II,
-    equisingularity_verdict,
     specialize,
 )
 from .parser import parse_family, parse_polynomial, parse_problem
@@ -92,17 +86,13 @@ __all__ = [
     "check_condition_II",
     "check_local_tameness",
     "check_nondegeneracy",
-    "compact_boundary",
-    "contains",
     "distinguished_point",
     "dual_cone",
     "embed",
     "embed_restricted",
-    "equisingularity_verdict",
     "essential_noncompact_faces",
     "face_function",
     "face_lattice",
-    "face_of_weight",
     "hilbert_basis",
     "minimize",
     "newton_polyhedron",
@@ -114,7 +104,5 @@ __all__ = [
     "restriction_nondegeneracy_check",
     "specialize",
     "torus_form",
-    "valid_index_sets",
     "vanishing_split",
-    "weight_transport",
 ]

@@ -144,24 +144,32 @@ def restrict(g: ToricPolynomial, index_set) -> ToricPolynomial:
     return ToricPolynomial(g.variety, kept)
 
 
-def restriction_is_zero(g: ToricPolynomial, index_set) -> bool:
-    """Whether the restriction vanishes identically on the orbit closure.
+def vanishing_split(g: ToricPolynomial, np=None):
+    """Partition the valid index sets into (non-vanishing, vanishing).
 
-    Decided at lattice level: exponent-level terms may cancel after
-    collection.
+    I is vanishing when g restricted to its orbit closure collects to zero.
+    Let tau be the face of sigma^dual with I = {i : b_i in tau}, and
+    lambda = sum Lambda_i b_i. If Lambda is supported on I, lambda lies in
+    the cone tau. If lambda lies in tau = sigma^dual ∩ w^perp with w in
+    sigma, then sum Lambda_i <w, b_i> = 0 with every <w, b_i> >= 0 (each
+    b_i lies in sigma^dual), so Lambda_i > 0 only where b_i lies in tau.
+    So the exponents over a lattice point are all supported on I or none
+    are, and I is vanishing exactly when no non-cancelled lattice point of
+    g's form has an exponent supported on I. Pass g's polyhedron as np to
+    read its form instead of collecting g again.
     """
-    return torus_form(restrict(g, index_set)).is_zero()
-
-
-def vanishing_split(g: ToricPolynomial):
-    """Partition the valid index sets into (non-vanishing, vanishing)."""
+    form = np.form if np is not None and np.polynomial is g else torus_form(g)
+    supports = {
+        frozenset(i for i, e in enumerate(exp, start=1) if e)
+        for exp, lam in zip(g.terms, form.points) if lam in form.terms
+    }
     nonvanishing = []
     vanishing = []
     for index_set in g.variety.valid_index_sets:
-        if restriction_is_zero(g, index_set):
-            vanishing.append(index_set)
-        else:
+        if any(s.issubset(index_set) for s in supports):
             nonvanishing.append(index_set)
+        else:
+            vanishing.append(index_set)
     return nonvanishing, vanishing
 
 
@@ -208,7 +216,7 @@ def essential_noncompact_faces(g: ToricPolynomial, np=None, split=None):
     if np is None:
         np = newton_polyhedron(g)
     if split is None:
-        split = vanishing_split(g)
+        split = vanishing_split(g, np=np)
     vanishing = {tuple(s) for s in split[1]}
     v = g.variety
     if not all(v.dual.contains(b) for b in v.generators):
@@ -419,11 +427,8 @@ def subvariety_restriction(g: ToricPolynomial, index_set):
             raise AnomalyDetected("generator not in the saturated span")
         reduced.append(coords)
     sub_v = build_variety(generators=reduced)
-    kept = {}
-    allowed = set(key)
-    for exp, coeff in g.terms.items():
-        if all(e == 0 or (i + 1) in allowed for i, e in enumerate(exp)):
-            kept[tuple(exp[i - 1] for i in key)] = coeff
+    kept = {tuple(exp[i - 1] for i in key): coeff
+            for exp, coeff in restrict(g, key).terms.items()}
     return sub_v, ToricPolynomial(sub_v, kept)
 
 

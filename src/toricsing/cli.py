@@ -140,7 +140,7 @@ def run(command, args) -> tuple[int, dict]:
     elif command == "analyze":
         g = _require_polynomial(problem)
         np_ = newton_polyhedron(g)
-        split = vanishing_split(g)
+        split = vanishing_split(g, np=np_)
         nondeg = check_nondegeneracy(g, seed=seed, budget=budget, np=np_)
         tame_overall, faces = check_all_tameness(
             g, seed=seed, budget=budget,

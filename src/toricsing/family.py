@@ -157,7 +157,7 @@ def _newton_summary(g: ToricPolynomial, like=None):
     condition I, then analysed by condition II and the stratification; like
     goes to newton_polyhedron."""
     np_ = newton_polyhedron(g, like=like)
-    split = vanishing_split(g)
+    split = vanishing_split(g, np=np_)
     essential = essential_noncompact_faces(g, np=np_, split=split)
     # proper faces only: the improper face (weight 0) attains on the whole
     # support, so a term strictly inside the polyhedron would change its
@@ -487,9 +487,3 @@ def check_admissibility(fam: FamilyPolynomial, seed=DEFAULT_SEED,
         anomalies=anomalies,
         warnings=warnings,
     )
-
-
-def equisingularity_verdict(fam: FamilyPolynomial, seed=DEFAULT_SEED,
-                            budget=DEFAULT_BUDGET) -> AdmissibilityReport:
-    """The final report; equisingular holds exactly when admissible does."""
-    return check_admissibility(fam, seed=seed, budget=budget)

@@ -422,11 +422,6 @@ def face_lattice(cone: RationalCone):
     return faces
 
 
-def contains(cone: RationalCone, v) -> bool:
-    """Exact membership via the dual description."""
-    return cone.contains(v)
-
-
 def minimize(points, recession: RationalCone, w):
     """Minimize <w, x> over conv(points) + recession.
 

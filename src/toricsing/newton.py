@@ -3,7 +3,8 @@
 A polynomial is stored at exponent level: a map from Lambda in N^r \\ {0}
 to a nonzero coefficient. Pushing forward along the canonical embedding
 collects coefficients at lattice level (lambda = sum Lambda_i b_i), which
-is where the Newton polyhedron lives.
+is where the Newton polyhedron lives. Only torus_form maps exponents to
+lattice points; face functions and the vanishing split restrict its form.
 
 The polyhedron conv(union of lambda + dual cone) is handled through its
 homogenization: the cone in R^{n+1} spanned by (lambda, 1) and (v, 0) for
@@ -11,9 +12,9 @@ the recession rays v. Faces of the polyhedron correspond to faces of that
 cone which touch at least one support point, and every supporting normal
 (w, -d) automatically has w in sigma. The homogenized cone has dimension
 n + 1, one above the lattice cap, so faces are enumerated at every lattice
-dimension a variety can have. A polyhedron built like= the same polyhedron
-over another support (a family's t = 0 and generic specializations) takes
-its facets, vertices and face weights and enumerates nothing.
+dimension a variety can have. Given like=, the same polyhedron over another
+support (a family's t = 0 and generic specializations), a polyhedron takes
+over its facets, vertices and face weights and enumerates nothing.
 """
 from __future__ import annotations
 
@@ -28,12 +29,19 @@ from .errors import (
 from .lattice import RationalCone, face_lattice
 from .linalg import dot
 from .polynomials import _is_zero
-from .rationals import GaussianRational
 from .variety import ToricVariety
 
 
 def field_zero(sample):
     return sample - sample
+
+
+def _integral(values, what):
+    """The entries as ints, rejecting (not truncating) non-integral ones."""
+    out = tuple(int(x) for x in values)
+    if out != tuple(values):
+        raise EmptyInput(f"{what} {tuple(values)} is not integral")
+    return out
 
 
 class ToricPolynomial:
@@ -45,7 +53,7 @@ class ToricPolynomial:
         cleaned = {}
         r = variety.r
         for lam_exp, coeff in terms.items():
-            exp = tuple(int(e) for e in lam_exp)
+            exp = _integral(lam_exp, "exponent")
             if len(exp) != r:
                 raise EmptyInput(
                     f"exponent {exp} has length {len(exp)}, expected {r}"
@@ -64,9 +72,6 @@ class ToricPolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("ToricPolynomial is immutable")
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def lambda_of(self, exponent):
         """The lattice point sum(Lambda_i * b_i) of an exponent vector."""
@@ -96,16 +101,21 @@ class ToricPolynomial:
 
 
 class LaurentForm:
-    """The collected lattice-level form of a polynomial on the torus."""
+    """The collected lattice-level form of a polynomial on the torus.
 
-    __slots__ = ("n", "terms", "cancelled")
+    points holds each exponent's lattice point, in the polynomial's term
+    order; cancelled holds the points whose coefficients summed to zero.
+    """
 
-    def __init__(self, n, terms, cancelled=()):
+    __slots__ = ("n", "terms", "points", "cancelled")
+
+    def __init__(self, n, terms, points, cancelled):
         object.__setattr__(self, "n", n)
         object.__setattr__(
             self, "terms",
             {tuple(k): v for k, v in terms.items() if not _is_zero(v)},
         )
+        object.__setattr__(self, "points", tuple(points))
         object.__setattr__(self, "cancelled", tuple(sorted(cancelled)))
 
     def __setattr__(self, name, value):
@@ -121,35 +131,6 @@ class LaurentForm:
     def has_cancellation(self) -> bool:
         return bool(self.cancelled)
 
-    def weighted_euler(self, w):
-        """sum_i w_i theta_i, i.e. the term lambda gets factor <w, lambda>."""
-        out = {}
-        for lam, coeff in self.terms.items():
-            f = dot(w, lam)
-            if f != 0:
-                out[lam] = coeff * f
-        return LaurentForm(self.n, out)
-
-    def scaled(self, factor):
-        return LaurentForm(
-            self.n, {lam: c * factor for lam, c in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            z = field_zero(c)
-            out[lam] = out.get(lam, z) - c
-        return LaurentForm(self.n, out)
-
-    def evaluate(self, xi):
-        """Evaluate at a torus point (exact; negative exponents allowed)."""
-        total = None
-        for lam, coeff in self.terms.items():
-            term = coeff * xi.monomial(lam)
-            total = term if total is None else total + term
-        return GaussianRational(0) if total is None else total
-
     def __repr__(self):
         return f"LaurentForm({len(self.terms)} terms, n={self.n})"
 
@@ -158,17 +139,17 @@ def torus_form(g: ToricPolynomial) -> LaurentForm:
     """Collect coefficients per lattice point lambda.
 
     Distinct exponents with the same lambda may cancel; cancelled lattice
-    points are recorded on the form.
+    points are recorded on the form, and so is each exponent's lambda.
     """
+    points = tuple(g.lambda_of(exp) for exp in g.terms)
     collected = {}
-    for exp, coeff in g.terms.items():
-        lam = g.lambda_of(exp)
+    for lam, coeff in zip(points, g.terms.values()):
         if lam in collected:
             collected[lam] = collected[lam] + coeff
         else:
             collected[lam] = coeff
     cancelled = [lam for lam, c in collected.items() if _is_zero(c)]
-    return LaurentForm(g.variety.n, collected, cancelled)
+    return LaurentForm(g.variety.n, collected, points, cancelled)
 
 
 class PolyFace:
@@ -221,14 +202,18 @@ class PolyFace:
 
 
 class NewtonPolyhedron:
-    """conv(union of (lambda + dual cone)) over the collected support."""
+    """conv(union of (lambda + dual cone)) over the collected support of
+    the polynomial it was built from."""
 
-    __slots__ = ("variety", "support", "recession", "form",
+    __slots__ = ("polynomial", "variety", "support", "recession", "form",
                  "_facets", "_vertices", "_faces")
 
-    def __init__(self, variety, form: LaurentForm, like=None):
+    def __init__(self, polynomial: ToricPolynomial, like=None):
+        form = torus_form(polynomial)
         if form.is_zero():
             raise EmptySupport("the collected torus form has no terms")
+        variety = polynomial.variety
+        object.__setattr__(self, "polynomial", polynomial)
         object.__setattr__(self, "variety", variety)
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "support", tuple(form.support))
@@ -274,9 +259,13 @@ class NewtonPolyhedron:
 
     def _face_from_weight_data(self, w, d, attaining):
         gens = self.variety.generators
+        pairings = [dot(w, b) for b in gens]
         direction = tuple(
-            i for i, b in enumerate(gens, start=1) if dot(w, b) == 0
+            i for i, p in enumerate(pairings, start=1) if p == 0
         )
+        if not direction and min(pairings) < 0:
+            raise AnomalyDetected("compact face witness must pair strictly "
+                                  "positively with all generators")
         recession_rays = tuple(gens[i - 1] for i in direction)
         return PolyFace(
             weight=w,
@@ -299,7 +288,7 @@ class NewtonPolyhedron:
 
     def face_of_weight(self, w) -> PolyFace:
         """The face where <w, .> attains its minimum over the polyhedron."""
-        ww = tuple(int(x) for x in w)
+        ww = _integral(w, "weight")
         gens = self.variety.generators
         if any(dot(ww, b) < 0 for b in gens):
             raise WeightNotInSigma(
@@ -315,7 +304,6 @@ class NewtonPolyhedron:
 
     def contains_lattice_point(self, lam) -> bool:
         """Exact membership of a lattice point in the polyhedron."""
-        lam = tuple(int(x) for x in lam)
         return all(dot(w, lam) >= d for (w, d) in self._facets)
 
     def owns(self, face: PolyFace) -> bool:
@@ -337,48 +325,29 @@ def newton_polyhedron(g: ToricPolynomial, like=None) -> NewtonPolyhedron:
     """The Newton polyhedron of g. If like is the same polyhedron over the
     same variety (say, with the same support), its face data are reused
     instead of enumerated; g keeps its form and its own attaining sets."""
-    form = torus_form(g)
-    if form.is_zero():
-        raise EmptySupport("the collected torus form has no terms")
-    return NewtonPolyhedron(g.variety, form, like)
-
-
-def face_of_weight(np: NewtonPolyhedron, w) -> PolyFace:
-    return np.face_of_weight(w)
-
-
-def compact_boundary(np: NewtonPolyhedron):
-    """All compact faces, each carrying an interior weight witness."""
-    faces, gens = np.compact_faces(), np.variety.generators
-    if not all(dot(f.weight, b) > 0 for f in faces for b in gens):
-        raise AnomalyDetected("compact face witness must pair strictly "
-                              "positively with all generators")
-    return faces
+    return NewtonPolyhedron(g, like)
 
 
 def face_function(g: ToricPolynomial, face: PolyFace, np=None):
-    """The sub-polynomial of g supported on the face, and its torus form.
+    """The face function of g on a face: its sub-polynomial and torus form.
 
-    Keeps every exponent whose lattice image lands on the face, including
-    exponents whose collected coefficient cancelled. Pass the polynomial's
-    own polyhedron as np to skip rebuilding it.
+    The form is the polyhedron's form restricted to the face's vertex set,
+    in form order. The sub-polynomial keeps g's terms, in g's order, whose
+    lattice point lies on the face, including exponents whose collected
+    coefficient cancelled. np is g's own polyhedron; it defaults to the
+    face's polyhedron, and g's is built only when neither was built from g.
     """
-    if np is None:
-        np, form = face.parent, torus_form(g)
-        if (np is None or np.variety is not g.variety
-                or np.support != tuple(form.support)):
-            np = NewtonPolyhedron(g.variety, form)
+    np = face.parent if np is None else np
+    if np is None or np.polynomial is not g:
+        np = newton_polyhedron(g)
     if not np.owns(face):
         raise FaceMismatch("face does not belong to this polynomial")
-    kept = {}
-    for exp, coeff in g.terms.items():
-        lam = g.lambda_of(exp)
+    form = np.form
+    kept, points = {}, []
+    for (exp, coeff), lam in zip(g.terms.items(), form.points):
         if dot(face.weight, lam) == face.value and np.contains_lattice_point(lam):
             kept[exp] = coeff
-    sub = ToricPolynomial(g.variety, kept)
-    return sub, torus_form(sub)
-
-
-def weight_transport(v: ToricVariety, w):
-    """The pairing vector (<w, b_1>, ..., <w, b_r>)."""
-    return tuple(dot(w, b) for b in v.generators)
+            points.append(lam)
+    terms = {lam: c for lam, c in form.terms.items() if lam in face.vertex_set}
+    return (ToricPolynomial(g.variety, kept),
+            LaurentForm(form.n, terms, points, set(points).difference(terms)))

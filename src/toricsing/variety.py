@@ -218,11 +218,6 @@ def _missing_basis_elements(gens, dual: RationalCone, basis):
     return missing
 
 
-def valid_index_sets(v: ToricVariety):
-    """All index sets {i : b_i on tau} over the faces tau of the dual cone."""
-    return list(v.valid_index_sets)
-
-
 def embed(v: ToricVariety, xi: TorusPoint):
     """The canonical embedding: coordinate i is xi^{b_i}."""
     if len(xi) != v.n:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from toricsing.checks import restrict
 from toricsing.errors import AnomalyDetected, ToricError
 from toricsing.linalg import is_zero_vec
 from toricsing.newton import ToricPolynomial, torus_form
@@ -145,6 +146,14 @@ def sympy_torus_solvable(equations, n):
     xs = sympy.symbols(f"x1:{n + 1}")
     return _sympy_torus_nonempty([_sympy_form(e, xs) for e in equations],
                                  xs)
+
+
+def restriction_is_zero(g, index_set) -> bool:
+    """Whether the restriction of g to the orbit closure of the index set
+    vanishes: the reference for checks.vanishing_split, which reads the
+    split off g's form. Restricts at exponent level, then collects, so
+    exponent-level terms may cancel."""
+    return torus_form(restrict(g, index_set)).is_zero()
 
 
 def random_polynomial(rng, variety, max_terms=4, max_exp=3,

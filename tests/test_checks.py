@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,28 +17,29 @@ from toricsing.checks import (
     check_nondegeneracy,
     essential_noncompact_faces,
     restrict,
-    restriction_is_zero,
     restriction_nondegeneracy_check,
     subvariety_restriction,
     vanishing_split,
 )
 from toricsing.errors import AnomalyDetected, FaceNotEssential, InvalidIndexSet
+from toricsing.family import specialize
 from toricsing.newton import (
     PolyFace,
     ToricPolynomial,
     newton_polyhedron,
     torus_form,
 )
+from toricsing.parser import parse_problem
 from toricsing.variety import build_variety
 
-from conftest import gr
+from conftest import gr, random_polynomial, restriction_is_zero, staircase
 
 
 # ---- restrictions -----------------------------------------------------------
 
 def test_restrict_vanishing(fourfold_poly):
     sub = restrict(fourfold_poly, (1, 2, 4))
-    assert sub.is_zero()
+    assert not sub.terms
     assert restriction_is_zero(fourfold_poly, (1, 2, 4))
 
 
@@ -81,6 +83,56 @@ def test_vanishing_split_fourfold(fourfold_poly):
     nv, vv = vanishing_split(fourfold_poly)
     assert (1, 2, 4) in set(map(tuple, vv))
     assert (3,) in set(map(tuple, nv))
+
+
+def _oracle_split(g):
+    sets = g.variety.valid_index_sets
+    return ([s for s in sets if not restriction_is_zero(g, s)],
+            [s for s in sets if restriction_is_zero(g, s)])
+
+
+def _problem_polynomials():
+    for path in sorted((Path(__file__).parent.parent / "problems")
+                       .glob("*.json")):
+        problem = parse_problem(path)
+        if problem.polynomial is not None:
+            yield problem.polynomial
+        if problem.family is not None:
+            yield specialize(problem.family, "zero")
+            yield specialize(problem.family, "generic")
+
+
+def test_vanishing_split_agrees_with_restriction_oracle(
+        surface_variety, space_c3, embedded_3fold, fourfold_poly):
+    polys = list(_problem_polynomials())
+    assert len(polys) == 6
+    polys += [
+        fourfold_poly,
+        # z2^2 - z1 z3 cancels at (2, 2): every index set vanishes
+        ToricPolynomial(surface_variety,
+                        {(0, 2, 0): gr(1), (1, 0, 1): gr(-1)}),
+        ToricPolynomial(surface_variety,
+                        {(0, 2, 0): gr(1), (1, 0, 1): gr(-1),
+                         (0, 0, 3): gr(2)}),
+        # z1 z2 - z4^2 cancels at (2, 2, 2), so {1, 2, 4} vanishes only by
+        # cancellation on this r > n variety
+        ToricPolynomial(embedded_3fold,
+                        {(1, 1, 0, 0): gr(1), (0, 0, 0, 2): gr(-1),
+                         (0, 0, 2, 0): gr(1)}),
+    ]
+    rng = random.Random(27)
+    pool = [surface_variety, space_c3, embedded_3fold, staircase(4)]
+    polys += [random_polynomial(rng, pool[k % len(pool)]) for k in range(320)]
+    cancelling = 0
+    for g in polys:
+        expected = _oracle_split(g)
+        assert vanishing_split(g) == expected, g.terms
+        form = torus_form(g)
+        cancelling += form.has_cancellation()
+        if not form.is_zero():
+            assert vanishing_split(g, np=newton_polyhedron(g)) == expected
+    assert cancelling >= 3
+    assert (1, 2, 4) in vanishing_split(polys[9])[1]
 
 
 # ---- essential faces --------------------------------------------------------

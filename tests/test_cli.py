@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from toricsing import cli as cli_mod, parser
+from toricsing import cli as cli_mod, newton, parser
 from toricsing.cli import main
 from toricsing.errors import (
     ConstantTermForbidden,
@@ -434,6 +434,34 @@ def test_oracle_flag_adds_restriction_checks(tmp_path, capsys):
     assert "restriction_consistency" in data
     for verdict in data["restriction_consistency"].values():
         assert verdict["status"] != "fails"
+
+
+@pytest.mark.parametrize("command", ["analyze", "family"])
+def test_each_term_is_mapped_to_the_lattice_once(monkeypatch, tmp_path,
+                                                 command):
+    # every analysed polynomial's lattice data comes from one torus form;
+    # face functions and the vanishing split restrict it
+    mapped = []
+    lambda_of = newton.ToricPolynomial.lambda_of
+
+    def counted(self, exponent):
+        mapped.append((self, exponent))
+        return lambda_of(self, exponent)
+
+    monkeypatch.setattr(newton.ToricPolynomial, "lambda_of", counted)
+    problems = Path(__file__).parent.parent / "problems"
+    runs = 0
+    for path in sorted(problems.glob("*.json")):
+        if ("family" in json.loads(path.read_text())) != (command == "family"):
+            continue
+        mapped.clear()
+        cli([command, "--input", str(path), "--report", str(tmp_path / "out")])
+        analysed = {id(g): g for g, _ in mapped}
+        assert analysed
+        assert sorted((id(g), e) for g, e in mapped) == sorted(
+            (key, e) for key, g in analysed.items() for e in g.terms)
+        runs += 1
+    assert runs == (1 if command == "family" else 4)
 
 
 FAILING_REPLAY = (

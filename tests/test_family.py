@@ -15,7 +15,6 @@ from toricsing.family import (
     check_admissibility,
     check_condition_I,
     check_condition_II,
-    equisingularity_verdict,
     exceptional_parameters,
     is_exceptional,
     specialize,
@@ -251,12 +250,6 @@ def test_condition_I_fails_blocks_all(surface_variety):
     assert report.stratification == []
 
 
-def test_equisingularity_verdict_is_admissibility(quartic_vertical):
-    fam = constant_family(quartic_vertical)
-    report = equisingularity_verdict(fam)
-    assert report.admissible.status == report.equisingular.status == HOLDS
-
-
 def test_specialization_coherence_outside_exceptional_values():
     from toricsing.family import is_exceptional
     from toricsing.newton import torus_form
@@ -338,8 +331,7 @@ def _separately_enumerated(monkeypatch):
     """Make family enumerate every specialization's Newton faces anew."""
     monkeypatch.setattr(
         family, "newton_polyhedron",
-        lambda g, like=None: newton.NewtonPolyhedron(
-            g.variety, newton.torus_form(g)))
+        lambda g, like=None: newton.NewtonPolyhedron(g))
 
 
 def _cli_outcome(problem, command, tmp_path, fmt="structured"):

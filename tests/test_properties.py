@@ -18,7 +18,6 @@ from toricsing.newton import (
     face_function,
     newton_polyhedron,
     torus_form,
-    weight_transport,
 )
 from toricsing.variety import build_variety
 
@@ -139,18 +138,24 @@ def test_verdict_lattice_monotone():
         assert rank[combined2.status] <= rank[combined.status]
 
 
+def _pairings(v, w):
+    """The weight transported to exponents: (<w, b_1>, ..., <w, b_r>)."""
+    return tuple(linalg.dot(w, b) for b in v.generators)
+
+
 def test_transport_identity_on_goldens(fourfold_poly, staircase_q5):
     v = fourfold_poly.variety
     w = (1, -2, 1)
-    assert weight_transport(v, w) == (0, 0, 4, 0)
+    assert _pairings(v, w) == (0, 0, 4, 0)
     np_ = newton_polyhedron(fourfold_poly)
     face = np_.face_of_weight(w)
     sub, _ = face_function(fourfold_poly, face, np=np_)
-    w_big = weight_transport(v, w)
+    w_big = _pairings(v, w)
     for exp in sub.terms:
         lam = sub.lambda_of(exp)
         assert linalg.dot(w_big, exp) == linalg.dot(w, lam) == face.value
-    assert weight_transport(staircase_q5, (5, -1)) == (5, 4, 3, 2, 1, 0)
+    assert _pairings(staircase_q5, (5, -1)) == (5, 4, 3, 2, 1, 0)
+    assert _pairings(staircase_q5, (0, 0)) == (0, 0, 0, 0, 0, 0)
 
 
 def test_gradient_decisions_agree_with_elimination_oracle():

@@ -77,6 +77,19 @@ def test_every_private_function_is_used():
     assert SOURCES and not unused, unused
 
 
+def test_only_torus_form_maps_exponents_to_lattice_points():
+    # face functions and the vanishing split restrict the torus form
+    callers = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers |= {func.name for node in ast.walk(func)
+                            if isinstance(node, ast.Attribute)
+                            and node.attr == "lambda_of"}
+    assert callers == {"torus_form"}
+
+
 def test_src_imports_only_the_standard_library():
     # the library depends on nothing outside the standard library; relative
     # imports (level > 0) are the package's own modules

@@ -17,7 +17,6 @@ from toricsing.variety import (
     embed,
     embed_restricted,
     orbit_dimension,
-    valid_index_sets,
 )
 
 
@@ -95,8 +94,8 @@ def test_valid_index_sets_4d_embedding():
         (2,),
         (3,),
     }
-    assert set(valid_index_sets(v)) == expected
-    assert (1, 4) not in set(valid_index_sets(v))
+    assert set(v.valid_index_sets) == expected
+    assert (1, 4) not in set(v.valid_index_sets)
 
 
 def test_full_index_set_always_present():
